@@ -15,7 +15,7 @@
 use std::process::ExitCode;
 use urt_analysis::{compile, examples, stubs};
 use urt_core::engine::{EngineConfig, HybridEngine};
-use urt_core::ensemble::EnsembleEngine;
+use urt_core::ensemble::{EnsembleEngine, VariantSpec};
 use urt_core::recorder::Recorder;
 use urt_core::threading::ThreadPolicy;
 
@@ -66,7 +66,11 @@ fn main() -> ExitCode {
         if sport_links > 0 {
             continue;
         }
-        let mut ensemble = match EnsembleEngine::from_compiled(&compiled, ENSEMBLE_K, config) {
+        let mut ensemble = match EnsembleEngine::from_variants(
+            &compiled,
+            &vec![VariantSpec::new(); ENSEMBLE_K],
+            config,
+        ) {
             Ok(e) => e,
             Err(e) => {
                 eprintln!("urt-elab-smoke: `{name}` failed ensemble assembly: {e}");

@@ -1,11 +1,10 @@
 //! A zero-dependency micro-benchmark harness over the monotonic clock.
 //!
-//! The default `cargo bench` path of this workspace must build offline,
-//! so criterion is opt-in (`--features criterion-bench`, which requires
-//! re-adding the registry dependency); this harness is what the bench
-//! targets run by default. It reports min / median / mean wall time per
-//! iteration — min and median because they are robust against scheduler
-//! noise on shared CI hardware, mean for comparability with criterion.
+//! The `cargo bench` path of this workspace must build offline, so the
+//! bench targets run on this harness rather than a registry benchmark
+//! crate. It reports min / median / mean wall time per iteration — min
+//! and median because they are robust against scheduler noise on shared
+//! CI hardware, mean for comparability with other harnesses.
 //!
 //! # Examples
 //!

@@ -232,7 +232,7 @@ enum CapsuleSpec {
 /// elaboration of the same model;
 /// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
 /// and
-/// [`EnsembleEngine::from_compiled`](crate::ensemble::EnsembleEngine::from_compiled)
+/// [`HybridEngine::from_variants`](crate::engine::HybridEngine::from_variants)
 /// borrow the artifact, so one compile (possibly shared through
 /// [`SystemCache`](crate::cache::SystemCache)) serves any number of
 /// engines.
@@ -279,7 +279,7 @@ impl CompiledSystem {
 
     /// Number of resolved SPort links (capsule–streamer signal bridges).
     /// Ensemble execution refuses systems with links
-    /// ([`EnsembleEngine::from_compiled`](crate::ensemble::EnsembleEngine::from_compiled)),
+    /// ([`HybridEngine::from_variants`](crate::engine::HybridEngine::from_variants)),
     /// so callers batching a model catalogue use this to skip them.
     pub fn sport_link_count(&self) -> usize {
         self.links.len()

@@ -1,16 +1,29 @@
-//! The hybrid co-simulation engine: event-driven capsules and
-//! time-continuous streamers on separate threads, bridged by channels.
+//! The unified execution engine: event-driven capsules and
+//! time-continuous streamers on separate threads, bridged by channels —
+//! one engine for one instance or `K` lockstep instances of a model.
 //!
 //! "During implementation, capsules and streamers are assigned to
 //! different threads. Communication between capsules and streamers is
 //! realized by communication mechanism of threads." Here the capsule side
 //! is a [`Controller`]; each streamer *group* is a [`StreamerNetwork`]
-//! which, under [`ThreadPolicy::DedicatedThreads`], runs on its own solver
-//! thread synchronised once per macro step. SPort links carry signal
-//! messages across the boundary in both directions over `std::sync::mpsc`
-//! channels.
+//! lowered once to its dense [`StepPlan`] and replayed every macro step
+//! over `K` instance-major lane sets: `K = 1` for [`HybridEngine::new`]
+//! and [`HybridEngine::from_compiled`], `K = variants.len()` for
+//! [`HybridEngine::from_variants`]. Under
+//! [`ThreadPolicy::DedicatedThreads`] each group runs on its own solver
+//! thread, synchronised once per batch of macro steps. SPort links carry
+//! signal messages across the boundary in both directions over
+//! `std::sync::mpsc` channels.
+//!
+//! Layout: instance `i` of a group owns lanes `[i*W .. (i+1)*W)` of the
+//! group's flat input/output arrays, where `W` is the per-instance dense
+//! width from the plan. The plan walk, the channel parity bookkeeping and
+//! the probe/clock overhead are paid once per step for all `K` instances
+//! (see [`crate::ensemble`] for the `K`-specific parts: parameter
+//! variants and the lane-batched ODE kernel).
 
 use crate::elaborate::{CompiledSystem, SystemInstance};
+use crate::ensemble::{BatchRow, EnsembleKernel, VariantSpec};
 use crate::error::CoreError;
 use crate::pacer::{PacedConfig, PacedReport, PacedRunner};
 use crate::recorder::{Recorder, SeriesHandle};
@@ -20,51 +33,49 @@ use crate::time::SimClock;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, OutputHandle, StreamerNetwork};
+use urt_dataflow::graph::{NodeId, OutputHandle, PlanNodeKind, StepPlan, StreamerNetwork};
+use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
 
-/// A signal drained from a streamer group: `(node, sport, message)`.
+/// A signal emitted by a streamer: `(node, sport, message)`.
 type DrainedSignal = (NodeId, String, Message);
 
-/// One recorded probe sample from a worker:
-/// `(probe index, post-tick time, value)`. The worker stamps the time
-/// itself (from its per-batch clock copy) so samples buffered across a
-/// batch merge into the recorder with exactly the instants the local
-/// path would have produced.
-type ProbeSample = (usize, f64, f64);
-
-/// Per-group buffers recycled through `Cmd::Step`: drained signals plus
-/// probe samples from the worker's last batch of macro steps.
-type StepBuffers = (Vec<DrainedSignal>, Vec<ProbeSample>);
-
 /// The two sample buffers of one cross-group flow channel, shared between
-/// the producer and the consumer thread.
+/// the producer and the consumer group.
 type ChannelBufs = Arc<[Mutex<Vec<f64>>; 2]>;
+
+/// Supplies one more instance of a node's behaviour, given the group's
+/// network.
+type Replicate<'a> =
+    dyn Fn(&StreamerNetwork, NodeId) -> Result<Box<dyn StreamerBehavior>, CoreError> + 'a;
 
 /// Upper bound on the auto-computed macro-step batch size `K` in
 /// [`ThreadPolicy::DedicatedThreads`] runs: bounds the per-batch probe
-/// sample buffers (a few kilobytes per probe at this value) while still
+/// sample buffers (64 KiB per recorded lane at this value) while still
 /// amortising the per-batch rendezvous to nothing.
 const DEFAULT_MAX_BATCH: u64 = 4096;
 
-/// A double-buffered dataflow channel carrying one cross-group flow.
+/// One end of a double-buffered channel carrying one cross-group flow
+/// for all `K` instances.
 ///
-/// Buffers are indexed by macro-step parity: during step `k` the consumer
-/// reads slot `k % 2` *before* its group steps, and the producer writes
-/// slot `(k + 1) % 2` *after* stepping. One barrier between consecutive
+/// Buffers are indexed by macro-step parity: during step `s` the consumer
+/// reads slot `s % 2` *before* its group steps, and the producer writes
+/// slot `(s + 1) % 2` *after* stepping. One barrier between consecutive
 /// macro steps is what separates every write of a slot from every read of
 /// the same slot, so there is no swap, no torn sample, and the consumer
 /// deterministically sees the producer's previous step's output — the
 /// documented one-macro-step channel delay (zero for lane values at
-/// step 0, where the consumer reads the initial all-zero buffer).
-struct FlowChannel {
-    from_group: usize,
-    from_handle: OutputHandle,
-    to_group: usize,
-    /// Lane offset inside the consumer group's exported-input vector.
-    to_offset: usize,
+/// step 0, where the consumer reads the initial all-zero buffer). Each
+/// slot holds `K * width` samples, instance-major.
+#[derive(Clone)]
+struct ChannelEnd {
     bufs: ChannelBufs,
+    /// Per-instance lane offset: into the producer's dense output array
+    /// on the outgoing end, into the consumer's exported-input staging on
+    /// the incoming end.
+    offset: usize,
+    width: usize,
 }
 
 /// Engine configuration.
@@ -73,10 +84,11 @@ pub struct EngineConfig {
     /// Macro step in seconds: the synchronisation period between the
     /// capsule thread and the solver threads. Must be positive and
     /// finite: the compiled-path constructors
-    /// ([`HybridEngine::from_compiled`], the ensemble constructors)
-    /// refuse anything else with [`CoreError::InvalidStep`] (URT116),
-    /// while the hand-wired [`HybridEngine::new`] keeps its documented
-    /// panic (API misuse at the lowest layer).
+    /// ([`HybridEngine::from_compiled`], [`HybridEngine::from_variants`],
+    /// [`HybridEngine::from_network`]) refuse anything else with
+    /// [`CoreError::InvalidStep`] (URT116), while the hand-wired
+    /// [`HybridEngine::new`] keeps its documented panic (API misuse at
+    /// the lowest layer).
     pub step: f64,
     /// Thread assignment policy.
     pub policy: ThreadPolicy,
@@ -88,39 +100,254 @@ impl Default for EngineConfig {
     }
 }
 
-/// An SPort bridge between a capsule port and a streamer node. The sport
-/// name lives in the engine's `link_index` (it is only ever consulted for
-/// routing lookups).
+/// An SPort bridge between a capsule port and lane 0 of a streamer row.
+/// The sport name lives in the engine's `link_index` (it is only ever
+/// consulted for routing lookups).
 #[derive(Debug)]
 struct SportLink {
     group: usize,
-    node: NodeId,
+    /// The linked node's streamer row in its group's plan.
+    row: usize,
     capsule: usize,
     capsule_port: String,
     /// Drains messages the capsule sent out of its port.
     from_capsule: Receiver<Message>,
 }
 
-/// A signal-series probe on a streamer output DPort. The port is
-/// resolved to an [`OutputHandle`] at registration, so per-step sampling
-/// is array indexing with no name lookup.
-#[derive(Debug, Clone)]
+/// A signal-series probe on the first lane of a streamer output DPort,
+/// resolved to a dense per-instance output offset at registration.
+#[derive(Debug)]
 struct Probe {
     group: usize,
-    handle: OutputHandle,
+    base: usize,
+    width: usize,
     series: String,
+}
+
+/// One streamer group: its dense routing plan plus `K` instance-major
+/// copies of the per-instance state arrays.
+///
+/// Aligned to its own cache lines: each solver thread writes its group's
+/// clock and buffer headers every sub-step, and two groups sharing a line
+/// would bounce it between cores.
+#[repr(align(128))]
+pub(crate) struct GroupState {
+    plan: StepPlan,
+    k: usize,
+    /// `behaviours[r][i]` is instance `i` of the `r`-th *streamer* plan
+    /// node (relays carry no behaviour), in plan order.
+    behaviours: Vec<Vec<Box<dyn StreamerBehavior>>>,
+    /// `batch_rows[r]` is the lane-batched stepping state of the `r`-th
+    /// streamer row, `None` for rows that are not batch-eligible. Built at
+    /// start when `K ≥ 2`, empty otherwise.
+    pub(crate) batch_rows: Vec<Option<BatchRow>>,
+    kernel: EnsembleKernel,
+    /// Dense input lanes, `K * plan.in_width()`.
+    ins: Vec<f64>,
+    /// Dense output lanes, `K * plan.out_width()`.
+    outs: Vec<f64>,
+    /// Exported-input (channel-fed) staging, `K * plan.ext_in_width()`.
+    ext: Vec<f64>,
+    /// Accumulated group time — `t += h` per step, exactly like
+    /// `StreamerNetwork::step`, so behaviours see bit-identical instants.
+    time: f64,
+    incoming: Vec<ChannelEnd>,
+    outgoing: Vec<ChannelEnd>,
+    /// Recorded probe lanes: dense output offset plus one series handle
+    /// per instance. Empty while no recorder is attached.
+    taps: Vec<(usize, Vec<SeriesHandle>)>,
+    /// Samples taken since the last flush, one `(t, value)` per tap lane
+    /// per step, in tap-lane order within each step.
+    samples: Vec<(f64, f64)>,
+    /// Signals lane 0 emitted, in plan order, awaiting routing.
+    signals: Vec<DrainedSignal>,
+}
+
+impl GroupState {
+    fn new(plan: StepPlan, k: usize, behaviours: Vec<Vec<Box<dyn StreamerBehavior>>>) -> Self {
+        GroupState {
+            ins: vec![0.0; k * plan.in_width()],
+            outs: vec![0.0; k * plan.out_width()],
+            ext: vec![0.0; k * plan.ext_in_width()],
+            plan,
+            k,
+            behaviours,
+            batch_rows: Vec::new(),
+            kernel: EnsembleKernel::default(),
+            time: 0.0,
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
+            taps: Vec::new(),
+            samples: Vec::new(),
+            signals: Vec::new(),
+        }
+    }
+
+    /// The streamer row of `node` (`None` for relays).
+    fn row_of(&self, node: NodeId) -> Option<usize> {
+        self.plan
+            .nodes()
+            .iter()
+            .filter(|pn| matches!(pn.kind, PlanNodeKind::Streamer))
+            .position(|pn| pn.node == node)
+    }
+
+    /// Per-instance dense offset of an output port's first lane.
+    fn out_base(&self, handle: &OutputHandle) -> usize {
+        self.plan.out_offset(handle.node()).expect("plan covers every node") + handle.offset()
+    }
+
+    fn initialize(&mut self, t0: f64) -> Result<(), CoreError> {
+        self.time = t0;
+        for b in self.behaviours.iter_mut().flatten() {
+            b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
+        }
+        if self.k >= 2 {
+            self.batch_rows = self.behaviours.iter().map(|lanes| BatchRow::build(lanes)).collect();
+        }
+        Ok(())
+    }
+
+    /// One macro step of all `K` instances: latch the channels' front
+    /// slot (`step % 2`), replay the plan, publish to the back slot.
+    fn tick(&mut self, h: f64, step: u64) -> Result<(), CoreError> {
+        let front = (step % 2) as usize;
+        let extw = self.plan.ext_in_width();
+        for ch in &self.incoming {
+            let src = ch.bufs[front].lock();
+            for i in 0..self.k {
+                let dst = i * extw + ch.offset;
+                self.ext[dst..dst + ch.width]
+                    .copy_from_slice(&src[i * ch.width..(i + 1) * ch.width]);
+            }
+        }
+        self.step(h)?;
+        let outw = self.plan.out_width();
+        for ch in &self.outgoing {
+            let mut dst = ch.bufs[1 - front].lock();
+            for i in 0..self.k {
+                let src = i * outw + ch.offset;
+                dst[i * ch.width..(i + 1) * ch.width]
+                    .copy_from_slice(&self.outs[src..src + ch.width]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Replays the plan once, advancing all `K` instances by `h` with the
+    /// step semantics of `StreamerNetwork::step`: boundary inputs latch
+    /// first, then each node gathers its flows (declaration order) and
+    /// runs, in dependency order.
+    fn step(&mut self, h: f64) -> Result<(), CoreError> {
+        let t = self.time;
+        let (k, inw, outw) = (self.k, self.plan.in_width(), self.plan.out_width());
+        let extw = self.plan.ext_in_width();
+        for c in self.plan.ext_loads() {
+            for i in 0..k {
+                let (src, dst) = (i * extw + c.src, i * inw + c.dst);
+                self.ins[dst..dst + c.len].copy_from_slice(&self.ext[src..src + c.len]);
+            }
+        }
+        let mut row = 0usize;
+        for pn in self.plan.nodes() {
+            for c in &pn.gathers {
+                for i in 0..k {
+                    let (src, dst) = (i * outw + c.src, i * inw + c.dst);
+                    self.ins[dst..dst + c.len].copy_from_slice(&self.outs[src..src + c.len]);
+                }
+            }
+            match pn.kind {
+                PlanNodeKind::Streamer => {
+                    let lanes = &mut self.behaviours[row];
+                    let batch = self.batch_rows.get_mut(row).and_then(Option::as_mut);
+                    row += 1;
+                    match batch {
+                        Some(br) if self.kernel == EnsembleKernel::Batched => {
+                            br.step(lanes, pn, &self.ins, &mut self.outs, t, h)?;
+                        }
+                        _ => {
+                            for (i, b) in lanes.iter_mut().enumerate() {
+                                let ui = i * inw + pn.in_offset;
+                                let yi = i * outw + pn.out_offset;
+                                b.advance(
+                                    t,
+                                    h,
+                                    &self.ins[ui..ui + pn.in_width],
+                                    &mut self.outs[yi..yi + pn.out_width],
+                                )
+                                .map_err(|e| CoreError::Flow(e.into()))?;
+                                // Lane 0 is the instance SPort links serve;
+                                // the other lanes are never linked.
+                                let emitted = b.take_emitted();
+                                if i == 0 {
+                                    self.signals
+                                        .extend(emitted.into_iter().map(|(s, m)| (pn.node, s, m)));
+                                }
+                            }
+                        }
+                    }
+                }
+                PlanNodeKind::Relay { in_width, fanout } => {
+                    for i in 0..k {
+                        let src = i * inw + pn.in_offset;
+                        let base = i * outw + pn.out_offset;
+                        for f in 0..fanout {
+                            let dst = base + f * in_width;
+                            self.outs[dst..dst + in_width]
+                                .copy_from_slice(&self.ins[src..src + in_width]);
+                        }
+                    }
+                }
+            }
+        }
+        self.time += h;
+        Ok(())
+    }
+
+    /// Buffers every probe tap's lanes, stamped `t`.
+    fn sample(&mut self, t: f64) {
+        let outw = self.plan.out_width();
+        for (base, series) in &self.taps {
+            for i in 0..series.len() {
+                self.samples.push((t, self.outs[i * outw + base]));
+            }
+        }
+    }
+
+    /// Pushes the buffered samples into their series. A solver-thread
+    /// worker flushes once per batch: pushing per step would have the
+    /// workers write the recorder's series buffers concurrently, and
+    /// neighbouring buffers can share a cache line.
+    fn flush(&mut self) {
+        let lanes: usize = self.taps.iter().map(|(_, s)| s.len()).sum();
+        for (j, handle) in self.taps.iter().flat_map(|(_, s)| s).enumerate() {
+            for &(t, v) in self.samples.iter().skip(j).step_by(lanes) {
+                handle.push(t, v);
+            }
+        }
+        self.samples.clear();
+    }
 }
 
 /// The unified execution engine (see module docs).
 ///
-/// Typical lifecycle: construct, [`HybridEngine::add_group`] /
-/// [`HybridEngine::link_sport`] / [`HybridEngine::add_probe`], then
+/// Typical lifecycle: build from a compiled model with
+/// [`HybridEngine::from_compiled`] (one instance) or
+/// [`HybridEngine::from_variants`] (`K` parameter variants), or wire one
+/// by hand with [`HybridEngine::new`] + [`HybridEngine::add_group`] /
+/// [`HybridEngine::link_sport`] / [`HybridEngine::add_probe`]; then
 /// [`HybridEngine::run_until`] repeatedly.
 pub struct HybridEngine {
     controller: Controller,
     config: EngineConfig,
     clock: SimClock,
-    groups: Vec<StreamerNetwork>,
+    /// Instances per group, `K`.
+    k: usize,
+    /// Structural shells of the groups (behaviours moved into `groups`),
+    /// answering the wiring-time lookups of the `link_*`/`add_probe`
+    /// calls. Empty for engines built by [`HybridEngine::from_network`].
+    nets: Vec<StreamerNetwork>,
+    pub(crate) groups: Vec<GroupState>,
     links: Vec<SportLink>,
     /// Dense routing table for streamer-emitted signals, maintained by
     /// [`HybridEngine::link_sport`]: `link_index[group][node]` holds the
@@ -130,21 +357,10 @@ pub struct HybridEngine {
     /// [`CoreError::DuplicateSportLink`].
     link_index: Vec<Vec<Vec<(String, usize)>>>,
     probes: Vec<Probe>,
-    /// Recorder series handles, parallel to `probes` — resolved once at
-    /// probe/recorder registration so the per-step record path never does
-    /// a string lookup. Empty while no recorder is attached.
-    probe_series: Vec<SeriesHandle>,
+    /// Whether probe series are recorded per instance as
+    /// `{series}#{i}` (engines built by the ensemble constructors).
+    per_instance_series: bool,
     recorder: Option<Recorder>,
-    /// Cross-group flow channels registered by
-    /// [`HybridEngine::link_flow`].
-    channels: Vec<FlowChannel>,
-    /// Per-group staging for exported-input lanes, written from channel
-    /// front buffers before each macro step (local path only — workers
-    /// keep their own staging).
-    staging: Vec<Vec<f64>>,
-    /// Which groups receive at least one channel (their staging must be
-    /// latched every step).
-    has_incoming: Vec<bool>,
     /// Upper bound on the auto-computed threaded batch size; 1 disables
     /// batching ([`HybridEngine::set_max_batch`]).
     max_batch: u64,
@@ -152,8 +368,6 @@ pub struct HybridEngine {
     /// over from the compiled system — the default budget of
     /// [`HybridEngine::run_paced`].
     step_budget_ns: Option<f64>,
-    /// Reused per-step buffer for drained streamer signals.
-    signal_scratch: Vec<DrainedSignal>,
     started: bool,
 }
 
@@ -161,6 +375,7 @@ impl fmt::Debug for HybridEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HybridEngine")
             .field("time", &self.clock.seconds())
+            .field("instances", &self.k)
             .field("groups", &self.groups.len())
             .field("links", &self.links.len())
             .field("policy", &self.config.policy)
@@ -168,36 +383,65 @@ impl fmt::Debug for HybridEngine {
     }
 }
 
+fn engine_err(detail: String) -> CoreError {
+    CoreError::Engine { detail }
+}
+
+fn check_step(config: &EngineConfig) -> Result<(), CoreError> {
+    if config.step.is_finite() && config.step > 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidStep { step: config.step })
+    }
+}
+
+/// A fresh copy of `node`'s behaviour through
+/// [`StreamerBehavior::clone_fresh`], the replication source of the
+/// network-first paths.
+fn clone_lane(net: &StreamerNetwork, node: NodeId) -> Result<Box<dyn StreamerBehavior>, CoreError> {
+    net.try_clone_behavior(node)?.ok_or_else(|| {
+        engine_err(format!(
+            "streamer `{}` cannot be replicated for ensemble execution (clone_fresh returned \
+             None — boxed handlers, guards and non-cloneable systems are not replicable)",
+            net.node_name(node).unwrap_or("?")
+        ))
+    })
+}
+
 impl HybridEngine {
-    /// Creates an engine around a capsule controller.
+    /// Creates a one-instance engine around a capsule controller.
     ///
     /// # Panics
     ///
     /// Panics if `config.step` is not positive and finite.
     pub fn new(controller: Controller, config: EngineConfig) -> Self {
-        assert!(config.step.is_finite() && config.step > 0.0, "macro step must be positive");
+        assert!(check_step(&config).is_ok(), "macro step must be positive");
+        Self::with_instances(controller, config, 1)
+    }
+
+    fn with_instances(controller: Controller, config: EngineConfig, k: usize) -> Self {
         HybridEngine {
             controller,
             config,
             clock: SimClock::new(),
+            k,
+            nets: Vec::new(),
             groups: Vec::new(),
             links: Vec::new(),
             link_index: Vec::new(),
             probes: Vec::new(),
-            probe_series: Vec::new(),
+            per_instance_series: false,
             recorder: None,
-            channels: Vec::new(),
-            staging: Vec::new(),
-            has_incoming: Vec::new(),
             max_batch: DEFAULT_MAX_BATCH,
             step_budget_ns: None,
-            signal_scratch: Vec::new(),
             started: false,
         }
     }
 
     /// Adds a streamer group (one candidate solver thread). Returns the
-    /// group index.
+    /// group index. The engine takes the network's behaviours as
+    /// instance 0; on a `K`-instance engine, instances `1..K` are
+    /// replicated through [`StreamerBehavior::clone_fresh`].
     ///
     /// To receive cross-group flows ([`HybridEngine::link_flow`]), export
     /// the consumer inputs (`StreamerNetwork::export_input`) *before*
@@ -205,20 +449,43 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates network validation errors.
-    pub fn add_group(&mut self, mut network: StreamerNetwork) -> Result<usize, CoreError> {
-        network.validate()?;
-        self.link_index.push(vec![Vec::new(); network.node_count()]);
-        self.staging.push(vec![0.0; network.external_input_width()]);
-        self.has_incoming.push(false);
-        self.groups.push(network);
+    /// Propagates network validation errors, and [`CoreError::Engine`]
+    /// for a behaviour that cannot be replicated.
+    pub fn add_group(&mut self, network: StreamerNetwork) -> Result<usize, CoreError> {
+        self.push_group(network, &clone_lane)
+    }
+
+    /// Plans `net` and adds it as a group: instance 0 takes the network's
+    /// own behaviours, `replicate` supplies instances `1..K`, and the
+    /// network stays behind as the group's structural shell.
+    fn push_group(
+        &mut self,
+        mut net: StreamerNetwork,
+        replicate: &Replicate<'_>,
+    ) -> Result<usize, CoreError> {
+        let plan = net.step_plan()?;
+        let mut behaviours = Vec::new();
+        for pn in plan.nodes().iter().filter(|pn| matches!(pn.kind, PlanNodeKind::Streamer)) {
+            let mut lanes =
+                (1..self.k).map(|_| replicate(&net, pn.node)).collect::<Result<Vec<_>, _>>()?;
+            lanes.insert(0, net.take_behavior(pn.node)?.expect("streamer rows carry behaviours"));
+            behaviours.push(lanes);
+        }
+        self.link_index.push(vec![Vec::new(); net.node_count()]);
+        self.groups.push(GroupState::new(plan, self.k, behaviours));
+        self.nets.push(net);
         Ok(self.groups.len() - 1)
+    }
+
+    /// The structural shell of group `g`, for wiring-time lookups.
+    fn net(&self, g: usize) -> Result<&StreamerNetwork, CoreError> {
+        self.nets.get(g).ok_or_else(|| engine_err(format!("no streamer group {g}")))
     }
 
     /// Builds an engine from a compiled [`CompiledSystem`] artifact —
     /// the model-first path (`ModelBuilder` → `compile` → instantiate →
     /// run). The artifact is **borrowed**: this call stamps out a fresh
-    /// [`SystemInstance`](crate::elaborate::SystemInstance) (behaviour
+    /// [`SystemInstance`] (behaviour
     /// factories re-invoked, networks re-wired), so one compile serves
     /// any number of engines, each bit-identical to an independent
     /// elaboration. SPort links, probes and cross-group channels arrive
@@ -236,28 +503,165 @@ impl HybridEngine {
         compiled: &CompiledSystem,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
-            return Err(CoreError::InvalidStep { step: config.step });
-        }
+        check_step(&config)?;
         let SystemInstance { groups, controller } = compiled.instantiate()?;
-        let mut engine = HybridEngine::new(controller, config);
-        engine.step_budget_ns = compiled.step_budget_ns;
-        for net in groups {
-            engine.add_group(net)?;
-        }
+        let mut engine = Self::with_instances(controller, config, 1);
+        engine.assemble(compiled, groups)?;
         for l in &compiled.links {
             engine.link_sport(l.group, l.node, &l.sport, l.capsule, &l.capsule_port)?;
         }
+        Ok(engine)
+    }
+
+    /// Builds one lockstep instance per [`VariantSpec`] of a compiled
+    /// system: `K = variants.len()` instances of every group, each spec's
+    /// overrides applied to its instance's behaviours before
+    /// initialisation. One instantiation supplies instance 0 and the
+    /// structure; the artifact's behaviour factories supply instances
+    /// `1..K`, so every behaviour kind replicates, with no
+    /// [`StreamerBehavior::clone_fresh`] requirement.
+    ///
+    /// Probe series are recorded per instance, as
+    /// [`HybridEngine::series_name`]`(series, i)`. Ensembles run the
+    /// time-continuous half only: they hold an empty controller, and a
+    /// system with SPort links is refused (capsule signal routing is
+    /// per-instance discrete state, which would serialise the ensemble).
+    /// Instance `i` is bit-identical to a standalone
+    /// [`HybridEngine::from_compiled`] run with the same parameters.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
+    ///   positive and finite.
+    /// * [`CoreError::Engine`] for an empty variant list, a system with
+    ///   SPort links, an override naming an unknown streamer, or a
+    ///   parameter the behaviour does not recognise.
+    /// * [`CoreError::Flow`] for structural errors surfaced while
+    ///   planning.
+    pub fn from_variants(
+        compiled: &CompiledSystem,
+        variants: &[VariantSpec],
+        config: EngineConfig,
+    ) -> Result<Self, CoreError> {
+        check_step(&config)?;
+        if variants.is_empty() {
+            return Err(engine_err("an ensemble needs at least one instance".into()));
+        }
+        if compiled.sport_link_count() > 0 {
+            return Err(engine_err(format!(
+                "ensemble execution runs the continuous half only: the compiled system has {} \
+                 SPort link(s); run it on a HybridEngine::from_compiled instead",
+                compiled.sport_link_count()
+            )));
+        }
+        let SystemInstance { groups, .. } = compiled.instantiate()?;
+        let mut engine = Self::with_instances(Controller::new("ensemble"), config, variants.len());
+        engine.per_instance_series = true;
+        engine.assemble(compiled, groups)?;
+        for (i, v) in variants.iter().enumerate() {
+            for (streamer, param, value) in &v.overrides {
+                let Some((g, node)) = compiled.streamer_node(streamer) else {
+                    return Err(engine_err(format!(
+                        "variant {i}: no streamer `{streamer}` in the compiled system"
+                    )));
+                };
+                let gs = &mut engine.groups[g];
+                let row = gs.row_of(node).expect("compiled streamers are plan rows");
+                if !gs.behaviours[row][i].set_param(param, *value) {
+                    return Err(engine_err(format!(
+                        "variant {i}: streamer `{streamer}` does not recognise parameter \
+                         `{param}`"
+                    )));
+                }
+            }
+        }
+        Ok(engine)
+    }
+
+    /// The part of the compiled-path construction shared by every `K`:
+    /// groups (instances `1..K` from the artifact's factories), probes,
+    /// cross-group channels and the declared budget.
+    fn assemble(
+        &mut self,
+        compiled: &CompiledSystem,
+        groups: Vec<StreamerNetwork>,
+    ) -> Result<(), CoreError> {
+        self.step_budget_ns = compiled.step_budget_ns;
+        for (gi, net) in groups.into_iter().enumerate() {
+            self.push_group(net, &|net, node| {
+                compiled.behavior_for(gi, node).ok_or_else(|| {
+                    engine_err(format!(
+                        "streamer `{}` has no behaviour factory in the compiled system",
+                        net.node_name(node).unwrap_or("?")
+                    ))
+                })
+            })?;
+        }
         for p in &compiled.probes {
-            engine.add_probe(p.group, p.node, &p.port, &p.series)?;
+            self.add_probe(p.group, p.node, &p.port, &p.series)?;
         }
         for cf in &compiled.cross_flows {
-            engine.link_flow(
+            self.link_flow(
                 (cf.from_group, cf.from_node, &cf.from_port),
                 (cf.to_group, cf.to_node, &cf.to_port),
             )?;
         }
+        Ok(())
+    }
+
+    /// Builds a `k`-instance single-group engine over a raw
+    /// [`StreamerNetwork`] (the network-first path, no elaboration).
+    /// Every instance is replicated through
+    /// [`StreamerBehavior::clone_fresh`] from the borrowed network.
+    /// `probes` lists `(node, output port, series)` outputs to record
+    /// per instance — raw networks carry no declared probes, and the
+    /// engine built here takes no further wiring.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
+    ///   positive and finite.
+    /// * [`CoreError::Engine`] for `k == 0` or a behaviour that cannot
+    ///   be replicated.
+    /// * [`CoreError::Flow`] for structural errors surfaced while
+    ///   planning and for unknown probe nodes/ports.
+    pub fn from_network(
+        net: &StreamerNetwork,
+        k: usize,
+        probes: &[(NodeId, &str, &str)],
+        config: EngineConfig,
+    ) -> Result<Self, CoreError> {
+        check_step(&config)?;
+        if k == 0 {
+            return Err(engine_err("an ensemble needs at least one instance".into()));
+        }
+        let plan = net.step_plan()?;
+        let mut behaviours = Vec::new();
+        for pn in plan.nodes().iter().filter(|pn| matches!(pn.kind, PlanNodeKind::Streamer)) {
+            behaviours.push((0..k).map(|_| clone_lane(net, pn.node)).collect::<Result<_, _>>()?);
+        }
+        let group = GroupState::new(plan, k, behaviours);
+        let mut engine = Self::with_instances(Controller::new("ensemble"), config, k);
+        engine.per_instance_series = true;
+        for &(node, port, series) in probes {
+            let handle = net.output_handle(node, port)?;
+            let (base, width) = (group.out_base(&handle), handle.width());
+            engine.probes.push(Probe { group: 0, base, width, series: series.to_owned() });
+        }
+        engine.groups.push(group);
         Ok(engine)
+    }
+
+    /// The recorder series name of probe series `series` for instance
+    /// `instance` of an engine built by [`HybridEngine::from_variants`]
+    /// or [`HybridEngine::from_network`]: `{series}#{instance}`.
+    pub fn series_name(series: &str, instance: usize) -> String {
+        format!("{series}#{instance}")
+    }
+
+    /// Number of lockstep instances `K`.
+    pub fn instances(&self) -> usize {
+        self.k
     }
 
     /// Connects a producer output DPort in one group to a consumer input
@@ -293,125 +697,115 @@ impl HybridEngine {
     ) -> Result<(), CoreError> {
         let (fg, fnode, fport) = from;
         let (tg, tnode, tport) = to;
-        for g in [fg, tg] {
-            if g >= self.groups.len() {
-                return Err(CoreError::Engine { detail: format!("no streamer group {g}") });
-            }
-        }
+        let (src, dst) = (self.net(fg)?, self.net(tg)?);
         if fg == tg {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "flow endpoints are both in group {fg}; use an in-network flow (zero-delay) \
-                     instead of a channel"
-                ),
-            });
+            return Err(engine_err(format!(
+                "flow endpoints are both in group {fg}; use an in-network flow (zero-delay) \
+                 instead of a channel"
+            )));
         }
-        if self.groups[tg].node_feedthrough(tnode)? {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer declares direct \
-                     feedthrough, which a one-step-delay channel cannot honour (keep both \
-                     streamers on one thread or make the consumer non-feedthrough)",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
+        let consumer = dst.node_name(tnode).unwrap_or("?").to_owned();
+        if dst.node_feedthrough(tnode)? {
+            return Err(engine_err(format!(
+                "cross-group flow into `{consumer}`.`{tport}`: the consumer declares direct \
+                 feedthrough, which a one-step-delay channel cannot honour (keep both \
+                 streamers on one thread or make the consumer non-feedthrough)"
+            )));
         }
-        let from_handle = self.groups[fg].output_handle(fnode, fport)?;
+        let from_handle = src.output_handle(fnode, fport)?;
         // The paper's connection rule, channel edition: the producer's
         // flow type must be a subset of the consumer's.
-        let src_ty = self.groups[fg]
+        let unknown = |net: &StreamerNetwork, node, port: &str| {
+            CoreError::Flow(urt_dataflow::FlowError::UnknownPort {
+                node: net.node_name(node).unwrap_or("?").to_owned(),
+                port: port.to_owned(),
+            })
+        };
+        let src_ty = src
             .out_ports(fnode)?
             .iter()
             .find(|p| p.name() == fport)
             .map(|p| p.flow_type().clone())
-            .ok_or(CoreError::Flow(urt_dataflow::FlowError::UnknownPort {
-                node: self.groups[fg].node_name(fnode).unwrap_or("?").to_owned(),
-                port: fport.to_owned(),
-            }))?;
-        let dst_spec =
-            self.groups[tg].in_ports(tnode)?.iter().find(|p| p.name() == tport).cloned().ok_or(
-                CoreError::Flow(urt_dataflow::FlowError::UnknownPort {
-                    node: self.groups[tg].node_name(tnode).unwrap_or("?").to_owned(),
-                    port: tport.to_owned(),
-                }),
-            )?;
+            .ok_or_else(|| unknown(src, fnode, fport))?;
+        let dst_spec = dst
+            .in_ports(tnode)?
+            .iter()
+            .find(|p| p.name() == tport)
+            .cloned()
+            .ok_or_else(|| unknown(dst, tnode, tport))?;
         if let Some(detail) = src_ty.subset_failure(dst_spec.flow_type()) {
             return Err(CoreError::Flow(urt_dataflow::FlowError::TypeMismatch {
-                from: format!("{}.{fport}", self.groups[fg].node_name(fnode).unwrap_or("?")),
-                to: format!("{}.{tport}", self.groups[tg].node_name(tnode).unwrap_or("?")),
+                from: format!("{}.{fport}", src.node_name(fnode).unwrap_or("?")),
+                to: format!("{consumer}.{tport}"),
                 detail,
             }));
         }
-        // Resolve the consumer's lane offset inside its group's exported
-        // input vector (exports accumulate in registration order).
-        let mut to_offset = None;
+        // The consumer's lane offset inside its group's exported-input
+        // vector (exports accumulate in registration order).
         let mut cursor = 0usize;
-        for (n, p) in self.groups[tg].exported_inputs() {
-            let width: usize = self.groups[tg]
-                .in_ports(n)?
-                .iter()
-                .find(|spec| spec.name() == p)
-                .map(|spec| spec.width())
-                .unwrap_or(0);
+        let mut to_offset = None;
+        for (n, p) in dst.exported_inputs() {
             if n == tnode && p == tport {
                 to_offset = Some(cursor);
                 break;
             }
-            cursor += width;
+            cursor += dst.in_ports(n)?.iter().find(|s| s.name() == p).map_or(0, |s| s.width());
         }
         let Some(to_offset) = to_offset else {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer input is not exported — \
-                     call export_input before add_group",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
+            return Err(engine_err(format!(
+                "cross-group flow into `{consumer}`.`{tport}`: the consumer input is not \
+                 exported — call export_input before add_group"
+            )));
         };
-        if self.channels.iter().any(|c| c.to_group == tg && c.to_offset == to_offset) {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer input is already fed by \
-                     another channel",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
+        if self.groups[tg].incoming.iter().any(|c| c.offset == to_offset) {
+            return Err(engine_err(format!(
+                "cross-group flow into `{consumer}`.`{tport}`: the consumer input is already fed \
+                 by another channel"
+            )));
         }
         let width = from_handle.width();
-        let bufs: ChannelBufs =
-            Arc::new([Mutex::new(vec![0.0; width]), Mutex::new(vec![0.0; width])]);
-        // Group construction may have widened the exported-input vector
-        // since add_group snapshotted it; re-sync the staging row.
-        let ext_width = self.groups[tg].external_input_width();
-        self.staging[tg].resize(ext_width, 0.0);
-        self.has_incoming[tg] = true;
-        self.channels.push(FlowChannel {
-            from_group: fg,
-            from_handle,
-            to_group: tg,
-            to_offset,
-            bufs,
+        let bufs: ChannelBufs = Arc::new([
+            Mutex::new(vec![0.0; self.k * width]),
+            Mutex::new(vec![0.0; self.k * width]),
+        ]);
+        let from_base = self.groups[fg].out_base(&from_handle);
+        self.groups[fg].outgoing.push(ChannelEnd {
+            bufs: Arc::clone(&bufs),
+            offset: from_base,
+            width,
         });
+        self.groups[tg].incoming.push(ChannelEnd { bufs, offset: to_offset, width });
         Ok(())
     }
 
     /// Caps the batch size `K` the threaded scheduler may choose (1
     /// forces every macro step through the full `Step`/`Done`
-    /// rendezvous, today's pre-batching behaviour). Values below 1 are
-    /// clamped to 1. Batching never changes results — only how often the
-    /// coordinator and the solver threads synchronise over mpsc.
+    /// rendezvous). Values below 1 are clamped to 1. Batching never
+    /// changes results — only how often the coordinator and the solver
+    /// threads synchronise over mpsc.
     pub fn set_max_batch(&mut self, max_batch: u64) {
         self.max_batch = max_batch.max(1);
+    }
+
+    /// Selects the ODE stepping kernel for solver-backed rows (see
+    /// [`EnsembleKernel`]). Only engines with `K ≥ 2` instances have
+    /// lane-batched rows; results are bit-identical either way, so this
+    /// is a pure performance knob (and the `bench_engine` kernel axis).
+    pub fn set_kernel(&mut self, kernel: EnsembleKernel) {
+        for gs in &mut self.groups {
+            gs.kernel = kernel;
+        }
     }
 
     /// Bridges a capsule SPort to a streamer SPort: messages the capsule
     /// sends on `capsule_port` are delivered to the streamer's signal
     /// handler, and signals the streamer emits on `sport` are injected
-    /// into the capsule on the same port.
+    /// into the capsule on the same port. Links serve instance 0.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Engine`] for a bad group index.
+    /// * [`CoreError::Engine`] for a bad group index or a relay node
+    ///   (relays have no signal handler).
     /// * [`CoreError::DuplicateSportLink`] if `(group, node, sport)` is
     ///   already linked — a second link would silently shadow the first.
     /// * Runtime errors from the controller for bad capsule indices.
@@ -423,24 +817,20 @@ impl HybridEngine {
         capsule: usize,
         capsule_port: &str,
     ) -> Result<(), CoreError> {
-        if group >= self.groups.len() {
-            return Err(CoreError::Engine { detail: format!("no streamer group {group}") });
-        }
+        let net = self.net(group)?;
+        let name = net.node_name(node)?.to_owned();
         // When the node declares its SPorts, the link must name one.
-        let declared = self.groups[group].sports(node)?;
+        let declared = net.sports(node)?;
         if !declared.is_empty() && !declared.iter().any(|s| s.name() == sport) {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "node `{}` declares no SPort `{sport}`",
-                    self.groups[group].node_name(node).unwrap_or("?")
-                ),
-            });
+            return Err(engine_err(format!("node `{name}` declares no SPort `{sport}`")));
         }
-        let by_node = &mut self.link_index[group][node.index()];
-        if by_node.iter().any(|(s, _)| s == sport) {
+        let Some(row) = self.groups[group].row_of(node) else {
+            return Err(engine_err(format!("node `{name}` is a relay and has no SPorts")));
+        };
+        if self.link_index[group][node.index()].iter().any(|(s, _)| s == sport) {
             return Err(CoreError::DuplicateSportLink {
                 group,
-                node: self.groups[group].node_name(node).unwrap_or("?").to_owned(),
+                node: name,
                 sport: sport.to_owned(),
             });
         }
@@ -449,7 +839,7 @@ impl HybridEngine {
         let li = self.links.len();
         self.links.push(SportLink {
             group,
-            node,
+            row,
             capsule,
             capsule_port: capsule_port.to_owned(),
             from_capsule: rx,
@@ -459,8 +849,10 @@ impl HybridEngine {
     }
 
     /// Records the first lane of `(group, node, port)` into the recorder
-    /// series `series` after every macro step. The port is resolved to an
-    /// output handle here, once — recording never looks names up again.
+    /// series `series` (per instance on `K`-instance engines, see
+    /// [`HybridEngine::series_name`]) after every macro step. The port is
+    /// resolved to a dense offset here, once — recording never looks
+    /// names up again.
     ///
     /// # Errors
     ///
@@ -473,22 +865,39 @@ impl HybridEngine {
         port: &str,
         series: &str,
     ) -> Result<(), CoreError> {
-        if group >= self.groups.len() {
-            return Err(CoreError::Engine { detail: format!("no streamer group {group}") });
-        }
-        let handle = self.groups[group].output_handle(node, port)?;
-        self.probes.push(Probe { group, handle, series: series.to_owned() });
-        if let Some(rec) = &self.recorder {
-            self.probe_series.push(rec.handle(series));
-        }
+        let handle = self.net(group)?.output_handle(node, port)?;
+        let base = self.groups[group].out_base(&handle);
+        self.probes.push(Probe { group, base, width: handle.width(), series: series.to_owned() });
+        self.bind_probes();
         Ok(())
     }
 
     /// Attaches a recorder for probes, interning every registered probe's
     /// series so the per-step record path is lookup-free.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.probe_series = self.probes.iter().map(|p| recorder.handle(&p.series)).collect();
         self.recorder = Some(recorder);
+        self.bind_probes();
+    }
+
+    /// Rebuilds every group's probe taps from the probe registry and the
+    /// attached recorder.
+    fn bind_probes(&mut self) {
+        for gs in &mut self.groups {
+            gs.taps.clear();
+        }
+        let Some(rec) = &self.recorder else { return };
+        for p in self.probes.iter().filter(|p| p.width > 0) {
+            let handles = (0..self.k)
+                .map(|i| {
+                    if self.per_instance_series {
+                        rec.handle(&Self::series_name(&p.series, i))
+                    } else {
+                        rec.handle(&p.series)
+                    }
+                })
+                .collect();
+            self.groups[p.group].taps.push((p.base, handles));
+        }
     }
 
     /// Current simulation time in seconds.
@@ -512,23 +921,13 @@ impl HybridEngine {
         &mut self.controller
     }
 
-    /// Read access to a streamer group.
-    pub fn network(&self, group: usize) -> Option<&StreamerNetwork> {
-        self.groups.get(group)
-    }
-
-    /// Mutable access to a streamer group.
-    pub fn network_mut(&mut self, group: usize) -> Option<&mut StreamerNetwork> {
-        self.groups.get_mut(group)
-    }
-
     fn start_if_needed(&mut self) -> Result<(), CoreError> {
         if self.started {
             return Ok(());
         }
         let t0 = self.clock.seconds();
-        for g in &mut self.groups {
-            g.initialize(t0)?;
+        for gs in &mut self.groups {
+            gs.initialize(t0)?;
         }
         if !self.controller.is_started() {
             self.controller.start()?;
@@ -542,18 +941,18 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver, runtime and thread failures.
+    /// Propagates solver, runtime and thread failures. After a failure,
+    /// [`HybridEngine::time`] and [`HybridEngine::step_count`] stand at
+    /// the last macro step every group completed, under both policies.
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.start_if_needed()?;
-        match self.config.policy {
-            ThreadPolicy::CurrentThread => self.run_local(t_end),
-            ThreadPolicy::DedicatedThreads => self.run_threaded(t_end, None),
-        }
+        self.run(t_end, None)
     }
 
     /// The per-macro-step deadline budget the engine carries (from the
     /// compiled system's declared budget), nanoseconds per macro step —
-    /// the default budget of [`HybridEngine::run_paced`].
+    /// the default budget of [`HybridEngine::run_paced`]. The budget
+    /// covers one macro step of all `K` instances.
     pub fn step_budget_ns(&self) -> Option<f64> {
         self.step_budget_ns
     }
@@ -562,7 +961,8 @@ impl HybridEngine {
     /// macro step *paced* against the wall clock and *measured* against a
     /// deadline budget — the deployment discipline of the paper (a
     /// controller is only correct if every cycle both releases on time
-    /// and finishes inside its budget).
+    /// and finishes inside its budget). One cycle covers all `K`
+    /// instances.
     ///
     /// Pacing couples simulation time to the wall clock at
     /// `config.rate` simulated seconds per wall second; the budget
@@ -596,18 +996,29 @@ impl HybridEngine {
     pub fn run_paced(&mut self, t_end: f64, config: PacedConfig) -> Result<PacedReport, CoreError> {
         self.start_if_needed()?;
         let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
-        let threaded =
-            matches!(self.config.policy, ThreadPolicy::DedicatedThreads) && !self.groups.is_empty();
-        if threaded {
-            self.run_threaded(t_end, Some(&mut runner))?;
-        } else {
-            for _ in 0..self.steps_until(t_end) {
+        self.run(t_end, Some(&mut runner))?;
+        Ok(runner.finish())
+    }
+
+    /// Runs the whole macro steps up to `t_end` under the configured
+    /// policy, bracketing each cycle with `paced` when set.
+    fn run(&mut self, t_end: f64, mut paced: Option<&mut PacedRunner>) -> Result<(), CoreError> {
+        let n_steps = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
+        if matches!(self.config.policy, ThreadPolicy::DedicatedThreads) && !self.groups.is_empty() {
+            // With no groups there are no solver threads to coordinate,
+            // so the local loop *is* the threaded schedule.
+            return self.run_threaded(n_steps, paced);
+        }
+        for _ in 0..n_steps {
+            if let Some(runner) = paced.as_deref_mut() {
                 runner.begin();
-                self.step_once()?;
+            }
+            self.step_once()?;
+            if let Some(runner) = paced.as_deref_mut() {
                 runner.end(1, self.clock.seconds())?;
             }
         }
-        Ok(runner.finish())
+        Ok(())
     }
 
     /// One macro step on the calling thread (exposed for fine-grained
@@ -619,126 +1030,49 @@ impl HybridEngine {
     pub fn step_once(&mut self) -> Result<(), CoreError> {
         self.start_if_needed()?;
         let h = self.config.step;
-        self.deliver_capsule_signals_local()?;
-        self.latch_channel_inputs_local();
-        for g in &mut self.groups {
-            g.step(h)?;
+        for link in &self.links {
+            while let Ok(msg) = link.from_capsule.try_recv() {
+                self.groups[link.group].behaviours[link.row][0].on_signal(&msg);
+            }
+        }
+        let step = self.clock.step_count();
+        for gs in &mut self.groups {
+            gs.tick(h, step)?;
         }
         self.clock.tick(h);
-        self.publish_channel_outputs_local();
         // Post-tick derived instant: the same drift-free product both
         // thread policies stamp on probes and hand to the controller.
         let t_next = self.clock.seconds();
-        self.collect_streamer_signals_local()?;
-        self.record_probes();
+        for gi in 0..self.groups.len() {
+            let mut signals = std::mem::take(&mut self.groups[gi].signals);
+            let routed = self.route_signals(gi, &mut signals);
+            self.groups[gi].signals = signals;
+            routed?;
+        }
+        for gs in &mut self.groups {
+            gs.sample(t_next);
+            gs.flush();
+        }
         self.controller.run_until(t_next)?;
         Ok(())
     }
 
-    /// Copies every channel's front buffer (slot `step_count % 2`,
-    /// pre-tick) into its consumer group's exported-input lanes. Reads
-    /// the sample the producer published at the end of the *previous*
-    /// step — the channel's one-step delay.
-    fn latch_channel_inputs_local(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let src = ch.bufs[slot].lock();
-            let w = src.len();
-            self.staging[ch.to_group][ch.to_offset..ch.to_offset + w].copy_from_slice(&src);
-        }
-        for (gi, latch) in self.has_incoming.iter().enumerate() {
-            if *latch {
-                self.groups[gi].set_external_inputs(&self.staging[gi]);
-            }
-        }
-    }
-
-    /// Copies every channel's producer output into its back buffer (slot
-    /// `step_count % 2` *post-tick*, i.e. the slot the consumer will read
-    /// at the next step).
-    fn publish_channel_outputs_local(&mut self) {
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            ch.bufs[slot]
-                .lock()
-                .copy_from_slice(self.groups[ch.from_group].output_by_handle(&ch.from_handle));
-        }
-    }
-
-    /// Number of whole macro steps needed to reach `t_end` from the
-    /// current instant (see [`crate::time::steps_until`] for the
-    /// relative-tolerance rationale).
-    fn steps_until(&self, t_end: f64) -> u64 {
-        crate::time::steps_until(self.clock.seconds(), t_end, self.config.step)
-    }
-
-    fn run_local(&mut self, t_end: f64) -> Result<(), CoreError> {
-        for _ in 0..self.steps_until(t_end) {
-            self.step_once()?;
-        }
-        Ok(())
-    }
-
-    fn deliver_capsule_signals_local(&mut self) -> Result<(), CoreError> {
-        for li in 0..self.links.len() {
-            while let Ok(msg) = self.links[li].from_capsule.try_recv() {
-                let (group, node) = (self.links[li].group, self.links[li].node);
-                self.groups[group].send_signal(node, &msg)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn collect_streamer_signals_local(&mut self) -> Result<(), CoreError> {
-        let mut buf = std::mem::take(&mut self.signal_scratch);
-        let mut result = Ok(());
-        'groups: for gi in 0..self.groups.len() {
-            buf.clear();
-            self.groups[gi].drain_signals_into(&mut buf);
-            for (node, sport, msg) in buf.drain(..) {
-                if let Err(e) = self.route_streamer_signal(gi, node, &sport, msg) {
-                    result = Err(e);
-                    break 'groups;
-                }
-            }
-        }
-        buf.clear();
-        self.signal_scratch = buf;
-        result
-    }
-
-    fn route_streamer_signal(
+    /// Injects a group's drained streamer signals into the capsules their
+    /// SPorts are linked to; unlinked signals are dropped. Leaves
+    /// `signals` empty.
+    fn route_signals(
         &mut self,
         group: usize,
-        node: NodeId,
-        sport: &str,
-        msg: Message,
+        signals: &mut Vec<DrainedSignal>,
     ) -> Result<(), CoreError> {
-        let link = self
-            .link_index
-            .get(group)
-            .and_then(|by_node| by_node.get(node.index()))
-            .and_then(|sports| sports.iter().find(|(s, _)| s == sport))
-            .map(|&(_, li)| &self.links[li]);
-        if let Some(link) = link {
-            self.controller.inject(link.capsule, &link.capsule_port, msg)?;
-        }
-        Ok(())
-    }
-
-    fn record_probes(&mut self) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let t = self.clock.seconds();
-        for (p, series) in self.probes.iter().zip(&self.probe_series) {
-            if let Some(&v) = self.groups[p.group].output_by_handle(&p.handle).first() {
-                series.push(t, v);
+        for (node, sport, msg) in signals.drain(..) {
+            let link = self.link_index.get(group).and_then(|by_node| by_node.get(node.index()));
+            if let Some(&(_, li)) = link.and_then(|s| s.iter().find(|(s, _)| *s == sport)) {
+                let link = &self.links[li];
+                self.controller.inject(link.capsule, &link.capsule_port, msg)?;
             }
         }
+        Ok(())
     }
 
     /// Threaded execution: one worker per group, synchronised via
@@ -747,192 +1081,108 @@ impl HybridEngine {
     ///
     /// The coordinator picks the largest batch `K` such that nothing due
     /// within the next `K` macro steps needs the coordinator: with SPort
-    /// links present a signal exchange may be due every step, so `K = 1`
-    /// (bit-exactly today's behaviour); without links `K` is only capped
-    /// by the remaining step count and [`HybridEngine::set_max_batch`].
-    /// Inside a batch, workers run counted inner loops; groups touching a
+    /// links present a signal exchange may be due every step, so `K = 1`;
+    /// without links `K` is only capped by the remaining step count and
+    /// [`HybridEngine::set_max_batch`]. Inside a batch, workers run the
+    /// same per-group tick as the local path; groups touching a
     /// cross-group flow channel synchronise between sub-steps over a
     /// [`SpinBarrier`] (one wait per sub-step), everyone else runs free.
-    /// Each worker stamps its probe samples from a private clock copy, so
-    /// batch-buffered samples carry exactly the local path's instants.
+    /// Each worker records its probes from a private clock copy, so the
+    /// series carry exactly the local path's instants.
     ///
-    /// Per-batch buffers (drained signals, probe samples) are recycled:
-    /// each `Cmd::Step` carries the previous batch's vectors back to the
-    /// worker, so the steady state allocates nothing.
+    /// Each `Done` reports the index of the sub-step that failed, if
+    /// any: the coordinator's clock and the event world then catch up
+    /// over only the sub-steps every group completed, so a failed run
+    /// stops at the same instant as on the calling thread.
     ///
     /// When `paced` is set ([`HybridEngine::run_paced`]), each batch is
     /// bracketed by the runner at the batch barrier: the cycle starts
     /// before capsule signals are flushed and ends once the batch's
-    /// results are merged, so the measured cycle covers exactly the work
-    /// the local path does for the same `K` steps.
+    /// results are merged.
     fn run_threaded(
         &mut self,
-        t_end: f64,
+        n_steps: u64,
         mut paced: Option<&mut PacedRunner>,
     ) -> Result<(), CoreError> {
-        let h = self.config.step;
-        let n_groups = self.groups.len();
-        if n_groups == 0 {
-            // Pure event-driven run: no solver threads to coordinate, so
-            // the local path *is* the threaded path. (This also delivers
-            // capsule-bound SPort messages instead of discarding them —
-            // with zero groups no links can exist today, but the local
-            // loop keeps that invariant by construction.)
-            return self.run_local(t_end);
-        }
-        let n_steps = self.steps_until(t_end);
-
         enum Cmd {
-            /// A batch of `k` macro steps, carrying recycled output
-            /// buffers and a clock copy for probe timestamps.
+            /// A batch of `k` macro steps from `clock`, carrying a
+            /// recycled signal buffer.
             Step {
-                h: f64,
                 k: u64,
                 clock: SimClock,
                 signals: Vec<DrainedSignal>,
-                probes: Vec<ProbeSample>,
             },
             Signal {
-                node: NodeId,
+                row: usize,
                 msg: Message,
             },
         }
         struct Done {
             signals: Vec<DrainedSignal>,
-            probes: Vec<ProbeSample>,
-            result: Result<(), urt_dataflow::FlowError>,
+            /// The failing sub-step of the batch and its error.
+            failed: Option<(u64, CoreError)>,
         }
 
-        let networks: Vec<StreamerNetwork> = std::mem::take(&mut self.groups);
-        let probes = self.probes.clone();
-        let record = self.recorder.is_some();
-
-        // Channel wiring per worker: which channels it reads before each
-        // sub-step and which it publishes after. Only channel-touching
-        // groups join the inner sub-step barrier.
-        let mut incoming: Vec<Vec<(ChannelBufs, usize)>> = vec![Vec::new(); n_groups];
-        let mut outgoing: Vec<Vec<(ChannelBufs, OutputHandle)>> = vec![Vec::new(); n_groups];
-        for ch in &self.channels {
-            incoming[ch.to_group].push((Arc::clone(&ch.bufs), ch.to_offset));
-            outgoing[ch.from_group].push((Arc::clone(&ch.bufs), ch.from_handle));
-        }
-        let participating: Vec<bool> =
-            (0..n_groups).map(|g| !incoming[g].is_empty() || !outgoing[g].is_empty()).collect();
-        let n_participants = participating.iter().filter(|&&p| p).count();
-        let barrier = (n_participants >= 2).then(|| Arc::new(SpinBarrier::new(n_participants)));
-
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(n_groups);
-        let mut done_rxs: Vec<Receiver<Done>> = Vec::with_capacity(n_groups);
-        let mut back_rxs: Vec<Receiver<StreamerNetwork>> = Vec::with_capacity(n_groups);
+        let h = self.config.step;
+        let joins: Vec<bool> =
+            self.groups.iter().map(|g| !g.incoming.is_empty() || !g.outgoing.is_empty()).collect();
+        let n_joining = joins.iter().filter(|&&j| j).count();
+        let barrier = (n_joining >= 2).then(|| SpinBarrier::new(n_joining));
+        let mut groups = std::mem::take(&mut self.groups);
 
         let result = std::thread::scope(|scope| -> Result<(), CoreError> {
-            for (gi, mut net) in networks.into_iter().enumerate() {
+            let mut cmd_txs = Vec::with_capacity(groups.len());
+            let mut done_rxs = Vec::with_capacity(groups.len());
+            for (gs, &joins) in groups.iter_mut().zip(&joins) {
                 let (cmd_tx, cmd_rx) = channel::<Cmd>();
                 let (done_tx, done_rx) = channel::<Done>();
-                let (back_tx, back_rx) = channel::<StreamerNetwork>();
                 cmd_txs.push(cmd_tx);
                 done_rxs.push(done_rx);
-                back_rxs.push(back_rx);
-                let my_probes: Vec<(usize, Probe)> = probes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.group == gi)
-                    .map(|(i, p)| (i, p.clone()))
-                    .collect();
-                let my_incoming = std::mem::take(&mut incoming[gi]);
-                let my_outgoing = std::mem::take(&mut outgoing[gi]);
-                let my_barrier = participating[gi].then(|| barrier.clone()).flatten();
+                let barrier = barrier.as_ref().filter(|_| joins);
                 scope.spawn(move || {
-                    // First delivery failure, surfaced in the next Done so
-                    // both thread policies fail identically (the local path
-                    // propagates send_signal errors before stepping).
-                    let mut signal_err: Option<urt_dataflow::FlowError> = None;
-                    let mut staging = vec![0.0; net.external_input_width()];
                     while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Signal { node, msg } => {
-                                if let Err(e) = net.send_signal(node, &msg) {
-                                    signal_err.get_or_insert(e);
+                        let (k, mut clock, mut signals) = match cmd {
+                            Cmd::Signal { row, msg } => {
+                                gs.behaviours[row][0].on_signal(&msg);
+                                continue;
+                            }
+                            Cmd::Step { k, clock, signals } => (k, clock, signals),
+                        };
+                        let mut failed = None;
+                        for i in 0..k {
+                            // Between consecutive sub-steps the
+                            // channel-touching groups rendezvous: the wait
+                            // separates last sub-step's slot writes from
+                            // this sub-step's same-slot reads. A worker
+                            // that already failed stops stepping but keeps
+                            // waiting, so its peers never deadlock.
+                            if i > 0 {
+                                if let Some(b) = barrier {
+                                    b.wait();
                                 }
                             }
-                            Cmd::Step { h, k, mut clock, mut signals, mut probes } => {
-                                signals.clear();
-                                probes.clear();
-                                let mut result = match signal_err.take() {
-                                    Some(e) => Err(e),
-                                    None => Ok(()),
-                                };
-                                for i in 0..k {
-                                    // Between consecutive sub-steps the
-                                    // channel-touching groups rendezvous:
-                                    // the wait separates last sub-step's
-                                    // slot writes from this sub-step's
-                                    // same-slot reads. A worker that
-                                    // already failed stops stepping and
-                                    // publishing but keeps waiting, so
-                                    // its peers never deadlock.
-                                    if i > 0 {
-                                        if let Some(b) = &my_barrier {
-                                            b.wait();
-                                        }
-                                    }
-                                    if result.is_ok() && !my_incoming.is_empty() {
-                                        // Front slot: pre-tick parity.
-                                        let slot = (clock.step_count() % 2) as usize;
-                                        for (bufs, off) in &my_incoming {
-                                            let src = bufs[slot].lock();
-                                            staging[*off..*off + src.len()].copy_from_slice(&src);
-                                        }
-                                        net.set_external_inputs(&staging);
-                                    }
-                                    if result.is_ok() {
-                                        result = net.step(h);
-                                    }
-                                    clock.tick(h);
-                                    if result.is_ok() {
-                                        // Back slot: post-tick parity (what
-                                        // consumers read next sub-step).
-                                        let slot = (clock.step_count() % 2) as usize;
-                                        for (bufs, handle) in &my_outgoing {
-                                            bufs[slot]
-                                                .lock()
-                                                .copy_from_slice(net.output_by_handle(handle));
-                                        }
-                                        net.drain_signals_into(&mut signals);
-                                        if record {
-                                            let t = clock.seconds();
-                                            for (pi, p) in &my_probes {
-                                                if let Some(&v) =
-                                                    net.output_by_handle(&p.handle).first()
-                                                {
-                                                    probes.push((*pi, t, v));
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                if done_tx.send(Done { signals, probes, result }).is_err() {
-                                    break;
-                                }
+                            if failed.is_some() {
+                                continue;
                             }
+                            if let Err(e) = gs.tick(h, clock.step_count()) {
+                                failed = Some((i, e));
+                                continue;
+                            }
+                            clock.tick(h);
+                            signals.append(&mut gs.signals);
+                            gs.sample(clock.seconds());
+                        }
+                        gs.flush();
+                        if done_tx.send(Done { signals, failed }).is_err() {
+                            break;
                         }
                     }
-                    let _ = back_tx.send(net);
                 });
             }
 
-            // Recycled per-group buffers for Cmd::Step, and the cross-group
-            // routing staging area — all allocated once per run.
-            let mut recycled: Vec<StepBuffers> =
-                (0..n_groups).map(|_| (Vec::new(), Vec::new())).collect();
-            let mut all_signals: Vec<(usize, NodeId, String, Message)> = Vec::new();
+            let mut recycled: Vec<Vec<DrainedSignal>> = vec![Vec::new(); cmd_txs.len()];
             let mut remaining = n_steps;
             while remaining > 0 {
-                // Batch size: with SPort links a signal exchange may be
-                // due after any step, so the rendezvous must run every
-                // step. Without links, nothing inside the batch needs the
-                // coordinator (probe samples buffer with their own
-                // timestamps; channels synchronise on the inner barrier).
                 let k = if self.links.is_empty() { remaining.min(self.max_batch) } else { 1 };
                 if let Some(runner) = paced.as_deref_mut() {
                     runner.begin();
@@ -941,73 +1191,55 @@ impl HybridEngine {
                 for link in &self.links {
                     while let Ok(msg) = link.from_capsule.try_recv() {
                         cmd_txs[link.group]
-                            .send(Cmd::Signal { node: link.node, msg })
+                            .send(Cmd::Signal { row: link.row, msg })
                             .map_err(|_| CoreError::ThreadLost { group: link.group })?;
                     }
                 }
                 // 2. Parallel batch of macro steps.
                 for (gi, tx) in cmd_txs.iter().enumerate() {
-                    let (signals, probes) = std::mem::take(&mut recycled[gi]);
-                    tx.send(Cmd::Step { h, k, clock: self.clock.clone(), signals, probes })
-                        .map_err(|_| CoreError::Engine { detail: "worker gone".into() })?;
+                    let signals = std::mem::take(&mut recycled[gi]);
+                    tx.send(Cmd::Step { k, clock: self.clock.clone(), signals })
+                        .map_err(|_| CoreError::ThreadLost { group: gi })?;
                 }
-                // 3. Coordinator catch-up. Without links the controller
-                // cannot interact with the streamer world, so its
-                // per-instant catch-ups run here, overlapping the solver
-                // threads; with links (k = 1) it runs after signal
-                // routing below, exactly as the local path orders it.
-                if self.links.is_empty() {
-                    for _ in 0..k {
-                        self.clock.tick(h);
-                        self.controller.run_until(self.clock.seconds())?;
-                    }
-                } else {
-                    self.clock.tick(h);
-                }
-                let t_next = self.clock.seconds();
-                // 4. Batch barrier: gather results, signals, probes.
-                all_signals.clear();
+                // 3. Batch barrier: the earliest failing sub-step bounds
+                // the steps every group completed (ties go to the lowest
+                // group, the one the local path would have reported).
+                let mut completed = k;
+                let mut failure = None;
                 for (gi, rx) in done_rxs.iter().enumerate() {
-                    let mut done = rx.recv().map_err(|_| CoreError::ThreadLost { group: gi })?;
-                    done.result.map_err(CoreError::Flow)?;
-                    for (node, sport, msg) in done.signals.drain(..) {
-                        all_signals.push((gi, node, sport, msg));
-                    }
-                    if record {
-                        for &(pi, t, v) in &done.probes {
-                            self.probe_series[pi].push(t, v);
+                    let done = rx.recv().map_err(|_| CoreError::ThreadLost { group: gi })?;
+                    if let Some((i, e)) = done.failed {
+                        if i < completed {
+                            completed = i;
+                            failure = Some(e);
                         }
                     }
-                    done.probes.clear();
-                    recycled[gi] = (done.signals, done.probes);
+                    recycled[gi] = done.signals;
                 }
-                // 5. Streamer -> capsule signals.
-                for (gi, node, sport, msg) in all_signals.drain(..) {
-                    self.route_streamer_signal(gi, node, &sport, msg)?;
+                // 4. Streamer -> capsule signals (links force k = 1), then
+                // the event-driven world catches up step by step, exactly
+                // as the local path orders it.
+                for _ in 0..completed {
+                    self.clock.tick(h);
+                    for (gi, signals) in recycled.iter_mut().enumerate() {
+                        self.route_signals(gi, signals)?;
+                    }
+                    self.controller.run_until(self.clock.seconds())?;
                 }
-                // 6. Event-driven world catches up (links path; without
-                // links it already ran in step 3).
-                if !self.links.is_empty() {
-                    self.controller.run_until(t_next)?;
+                if let Some(e) = failure {
+                    return Err(e);
                 }
                 if let Some(runner) = paced.as_deref_mut() {
                     // Batch barrier pacing: K steps measured as one cycle,
                     // budget attributed as K x the step budget. An early
-                    // SafetyStop return drops cmd_txs, so workers exit.
-                    runner.end(k, t_next)?;
+                    // return drops cmd_txs, so the workers exit.
+                    runner.end(k, self.clock.seconds())?;
                 }
                 remaining -= k;
             }
-            drop(cmd_txs);
             Ok(())
         });
-
-        // Recover the networks regardless of success.
-        for rx in back_rxs {
-            if let Ok(net) = rx.recv() {
-                self.groups.push(net);
-            }
-        }
+        self.groups = groups;
         result
     }
 }

@@ -1,53 +1,31 @@
-//! Structure-of-arrays ensemble execution: step `K` parameter-variants
-//! of one [`CompiledSystem`] in lockstep.
+//! The `K`-instance parts of the engine: parameter variants and the
+//! lane-batched ODE kernel.
 //!
 //! Parameter sweeps, Monte-Carlo robustness studies and scenario fans
 //! all run the *same* lowered model many times with slightly different
-//! parameters. Driving `K` independent [`HybridEngine`]s pays the full
-//! per-step bookkeeping — routing-table walks, barrier crossings,
-//! cross-group channel latching, clock arithmetic — once **per
-//! instance**. [`EnsembleEngine`] pays it once **per step**: each group's
-//! [`StepPlan`] (the dense routing schedule computed once from the
-//! network) is replayed with instance-major inner loops over contiguous
-//! state arrays, so the plan walk, the channel parity bookkeeping and the
-//! probe/clock overhead are amortised over all `K` instances, and the
-//! inner lane copies run over contiguous memory — auto-vectorisable where
-//! the block math allows.
+//! parameters. [`HybridEngine::from_variants`] runs them as one engine
+//! with `K` instance-major lane sets per group, so the plan walk, the
+//! channel parity bookkeeping and the probe/clock overhead are paid once
+//! per step instead of once per instance. This module holds what only
+//! `K ≥ 2` needs:
 //!
-//! Layout: instance `i` of a group owns lanes `[i*W .. (i+1)*W)` of that
-//! group's flat input/output arrays, where `W` is the per-instance dense
-//! width from the plan. Behaviours are replicated per instance by
-//! re-invoking the compiled system's behaviour factories (every
-//! registered behaviour replicates; the network-first
-//! [`EnsembleEngine::from_network`] path still falls back to
-//! [`StreamerBehavior::clone_fresh`]), with per-instance parameter
-//! overrides applied through [`StreamerBehavior::set_param`] before
-//! initialisation ([`VariantSpec`]).
+//! * [`VariantSpec`] — per-instance parameter overrides, applied through
+//!   [`StreamerBehavior::set_param`] before initialisation;
+//! * [`EnsembleKernel`] and the batched row kernel — homogeneous,
+//!   guard-free ODE rows step all `K` lanes through one width-aware
+//!   [`Solver::step_batch`] call per sub-step;
+//! * [`EnsembleEngine`], the name the ensemble API has always had for
+//!   the one engine.
 //!
 //! **Determinism is the correctness anchor**: instance `i` of a
-//! `K`-ensemble is bit-identical to a standalone run with the same
-//! variant parameters — same step plan semantics as
-//! [`StreamerNetwork::step`], same accumulated group time, same
-//! cross-group channel parity slots, same drift-free probe timestamps.
-//! The equivalence suites pin this for both thread policies.
-//!
-//! Scope: ensembles run the time-continuous half only. Systems with SPort
-//! links are refused (capsule signal routing is per-instance discrete
-//! state, which would serialise the ensemble); the compiled controller is
-//! not stepped, and signals emitted by behaviours are drained and
-//! dropped.
+//! `K`-instance engine is bit-identical to a standalone run with the same
+//! variant parameters — same plan replay, same accumulated group time,
+//! same cross-group channel parity slots, same drift-free probe
+//! timestamps. The equivalence suites pin this for both thread policies.
 
-use crate::elaborate::CompiledSystem;
-use crate::engine::EngineConfig;
 use crate::error::CoreError;
-use crate::recorder::{Recorder, SeriesHandle};
-use crate::sync::{Mutex, SpinBarrier};
-use crate::threading::ThreadPolicy;
-use crate::time::SimClock;
 use std::cell::RefCell;
-use std::fmt;
-use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan, StreamerNetwork};
+use urt_dataflow::graph::PlanNode;
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_ode::solver::Solver;
 use urt_ode::system::BatchOdeSystem;
@@ -55,6 +33,40 @@ use urt_ode::OdeSystem;
 
 #[cfg(doc)]
 use crate::engine::HybridEngine;
+
+/// The ensemble API's name for the one engine: a `K`-instance
+/// [`HybridEngine`], built by
+/// [`HybridEngine::from_variants`] or [`HybridEngine::from_network`].
+///
+/// # Examples
+///
+/// ```
+/// use urt_core::ensemble::{EnsembleEngine, VariantSpec};
+/// # use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+/// # use urt_core::engine::EngineConfig;
+/// # use urt_core::model::ModelBuilder;
+/// # use urt_core::recorder::Recorder;
+/// # use urt_dataflow::flowtype::FlowType;
+/// # use urt_dataflow::streamer::FnStreamer;
+/// # let mut b = ModelBuilder::new("m");
+/// # let s = b.streamer("sine", "none");
+/// # b.streamer_out(s, "y", FlowType::scalar());
+/// # b.probe(s, "y", "y");
+/// # let registry = BehaviorRegistry::new().streamer("sine", || {
+/// #     Box::new(FnStreamer::new("sine", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+/// #         y[0] = t.sin()
+/// #     }))
+/// # });
+/// # let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+/// let variants = vec![VariantSpec::new(); 8];
+/// let mut ensemble = EnsembleEngine::from_variants(&compiled, &variants, EngineConfig::default())?;
+/// let rec = Recorder::new();
+/// ensemble.set_recorder(rec.clone());
+/// ensemble.run_until(0.01)?;
+/// assert_eq!(rec.series(&EnsembleEngine::series_name("y", 7)).len(), 10);
+/// # Ok::<(), urt_core::error::CoreError>(())
+/// ```
+pub type EnsembleEngine = crate::engine::HybridEngine;
 
 /// Per-instance parameter overrides for one ensemble member: a list of
 /// `(streamer, parameter, value)` assignments applied through
@@ -76,7 +88,7 @@ use crate::engine::HybridEngine;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VariantSpec {
-    overrides: Vec<(String, String, f64)>,
+    pub(crate) overrides: Vec<(String, String, f64)>,
 }
 
 impl VariantSpec {
@@ -107,7 +119,8 @@ impl VariantSpec {
     }
 }
 
-/// Which ODE stepping kernel ensemble groups use for solver-backed lanes.
+/// Which ODE stepping kernel `K`-instance groups use for solver-backed
+/// lanes.
 ///
 /// [`Batched`](EnsembleKernel::Batched) (the default) routes every
 /// eligible streamer row — homogeneous, guard-free lanes whose solver has
@@ -115,7 +128,8 @@ impl VariantSpec {
 /// [`Solver::step_batch`] call per sub-step. Per-lane arithmetic is the
 /// exact scalar sequence, so results stay bit-identical either way;
 /// [`PerLane`](EnsembleKernel::PerLane) exists as the measurable baseline
-/// (the `bench_engine` kernel axis).
+/// (the `bench_engine` kernel axis). Single-instance engines always step
+/// per lane: there is nothing to batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnsembleKernel {
     /// Per-lane scalar stepping: K independent `advance` calls per row.
@@ -129,7 +143,7 @@ pub enum EnsembleKernel {
 /// share `dim`/`substep`, and the row owns one solver clone (explicit
 /// fixed-step strategies carry no cross-step scratch, so a single solver
 /// serves all K lanes) plus the instance-major state staging.
-struct BatchRow {
+pub(crate) struct BatchRow {
     dim: usize,
     substep: f64,
     /// The row's solver clock, shared by all lanes (lockstep): the exact
@@ -197,916 +211,140 @@ impl BatchOdeSystem for LaneBatchSystem<'_> {
     }
 }
 
-/// One group's ensemble state: the shared routing plan plus `K`
-/// instance-major copies of the dense per-instance arrays.
-struct GroupState {
-    plan: StepPlan,
-    /// `behaviours[r][i]` is instance `i` of the `r`-th *streamer* plan
-    /// node (relays carry no behaviour), in plan order.
-    behaviours: Vec<Vec<Box<dyn StreamerBehavior>>>,
-    /// `batch_rows[r]` is the batch-stepping state of the `r`-th streamer
-    /// row, `None` for rows that are not batch-eligible. Built once at
-    /// start (after `initialize`), empty before.
-    batch_rows: Vec<Option<BatchRow>>,
-    /// Kernel selection for this group's solver-backed rows.
-    kernel: EnsembleKernel,
-    /// Dense input lanes, `K * plan.in_width()`.
-    ins: Vec<f64>,
-    /// Dense output lanes, `K * plan.out_width()`.
-    outs: Vec<f64>,
-    /// External (channel-fed) input staging, `K * plan.ext_in_width()`.
-    ext: Vec<f64>,
-    /// Accumulated group time — `t += h` per step, exactly like
-    /// `StreamerNetwork::step`, so behaviours see bit-identical instants.
-    time: f64,
-}
-
-impl GroupState {
-    /// Replays the plan once, advancing all `k` instances by `h`.
-    fn step(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
-        let t = self.time;
-        let inw = self.plan.in_width();
-        let outw = self.plan.out_width();
-        let extw = self.plan.ext_in_width();
-        for c in self.plan.ext_loads() {
-            for i in 0..k {
-                let (src, dst) = (i * extw + c.src, i * inw + c.dst);
-                self.ins[dst..dst + c.len].copy_from_slice(&self.ext[src..src + c.len]);
-            }
+impl BatchRow {
+    /// Decides whether all K lanes of a streamer row can step through the
+    /// batched kernel: every lane must expose itself as a batchable
+    /// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized,
+    /// guard-free, handler-free, batched-kernel solver) and the row must
+    /// be homogeneous in `dim`, `substep` and solver clock — the lockstep
+    /// schedule is shared. Called once after `initialize`.
+    pub(crate) fn build(lanes: &[Box<dyn StreamerBehavior>]) -> Option<BatchRow> {
+        let first = lanes.first()?.as_ode_lane()?;
+        if !first.lane_batchable() {
+            return None;
         }
-        let mut row = 0usize;
-        for pn in self.plan.nodes() {
-            for c in &pn.gathers {
-                for i in 0..k {
-                    let (src, dst) = (i * outw + c.src, i * inw + c.dst);
-                    self.ins[dst..dst + c.len].copy_from_slice(&self.outs[src..src + c.len]);
-                }
-            }
-            match pn.kind {
-                PlanNodeKind::Streamer => {
-                    let r = row;
-                    row += 1;
-                    let batched = matches!(self.kernel, EnsembleKernel::Batched)
-                        && matches!(self.batch_rows.get(r), Some(Some(_)));
-                    if batched {
-                        let br = self.batch_rows[r].as_mut().expect("row checked above");
-                        let dim = br.dim;
-                        let t_end = t + h;
-                        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
-                        {
-                            let lanes = &self.behaviours[r];
-                            for (i, b) in lanes.iter().enumerate() {
-                                let lane =
-                                    b.as_ode_lane().expect("batch rows contain only ODE lanes");
-                                let x = lane.lane_state().expect("batch rows are initialized");
-                                br.states[i * dim..(i + 1) * dim].copy_from_slice(x);
-                            }
-                            let sys = LaneBatchSystem {
-                                lanes,
-                                ins: &self.ins,
-                                inw,
-                                in_offset: pn.in_offset,
-                                in_width: pn.in_width,
-                                dim,
-                                scratch: RefCell::new((
-                                    std::mem::take(&mut br.scratch_x),
-                                    std::mem::take(&mut br.scratch_d),
-                                )),
-                            };
-                            // The scalar path's sub-step schedule verbatim
-                            // (`OdeStreamer::advance` + `SolverDriver::advance`
-                            // for a fixed-step solver), resuming from the
-                            // persistent row clock, so every lane sees the
-                            // exact `(t, h)` sequence of a standalone run.
-                            let mut tl = br.time;
-                            while tl < t_end - resolution {
-                                let remaining = t_end - tl;
-                                if remaining <= resolution {
-                                    // The driver's own entry check can
-                                    // disagree with the loop test by one
-                                    // rounding: snap without stepping.
-                                    tl = t_end;
-                                    continue;
-                                }
-                                let h_sub = br.substep.min(remaining);
-                                br.solver
-                                    .step_batch(&sys, tl, &mut br.states, dim, h_sub)
-                                    .map_err(|e| CoreError::Flow(e.into()))?;
-                                tl += h_sub;
-                                if t_end - tl <= resolution {
-                                    tl = t_end;
-                                }
-                            }
-                            br.time = tl;
-                            (br.scratch_x, br.scratch_d) = sys.scratch.into_inner();
-                        }
-                        let lanes = &mut self.behaviours[r];
-                        for (i, b) in lanes.iter_mut().enumerate() {
-                            let ui = i * inw + pn.in_offset;
-                            let yi = i * outw + pn.out_offset;
-                            let x = &br.states[i * dim..(i + 1) * dim];
-                            let lane =
-                                b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
-                            // Sync the driver to the row clock (which may
-                            // sit one rounding shy of `t_end`), exactly
-                            // where the scalar driver would have left it.
-                            lane.lane_sync(br.time, x).map_err(|e| CoreError::Flow(e.into()))?;
-                            lane.lane_output(
-                                t_end,
-                                x,
-                                &self.ins[ui..ui + pn.in_width],
-                                &mut self.outs[yi..yi + pn.out_width],
-                            );
-                            // Parity with the scalar branch: batchable
-                            // lanes are guard-free so nothing can be
-                            // pending, but drain regardless.
-                            let _ = b.take_emitted();
-                        }
-                    } else {
-                        let lanes = &mut self.behaviours[r];
-                        for (i, b) in lanes.iter_mut().enumerate() {
-                            let ui = i * inw + pn.in_offset;
-                            let yi = i * outw + pn.out_offset;
-                            b.advance(
-                                t,
-                                h,
-                                &self.ins[ui..ui + pn.in_width],
-                                &mut self.outs[yi..yi + pn.out_width],
-                            )
-                            .map_err(|e| CoreError::Flow(e.into()))?;
-                            // No SPort links exist in an ensemble: drain
-                            // emitted signals so they cannot accumulate.
-                            let _ = b.take_emitted();
-                        }
-                    }
-                }
-                PlanNodeKind::Relay { in_width, fanout } => {
-                    for i in 0..k {
-                        let src = i * inw + pn.in_offset;
-                        let base = i * outw + pn.out_offset;
-                        for f in 0..fanout {
-                            let dst = base + f * in_width;
-                            self.outs[dst..dst + in_width]
-                                .copy_from_slice(&self.ins[src..src + in_width]);
-                        }
-                    }
-                }
-            }
+        let dim = first.lane_dim();
+        let substep = first.lane_substep();
+        if dim == 0 || !(substep.is_finite() && substep > 0.0) {
+            return None;
         }
-        self.time += h;
-        Ok(())
-    }
-}
-
-/// One cross-group flow, widened to `K` lanesets: double-buffered parity
-/// slots exactly like the [`HybridEngine`] channel (consumer reads slot
-/// `step % 2` pre-tick, producer writes the same index post-tick), but
-/// each slot carries all `K` instances' samples.
-struct EnsembleChannel {
-    from_group: usize,
-    /// Per-instance dense offset of the producer's first output lane.
-    from_base: usize,
-    width: usize,
-    to_group: usize,
-    /// Per-instance offset inside the consumer's external input staging.
-    to_offset: usize,
-    bufs: Arc<[Mutex<Vec<f64>>; 2]>,
-}
-
-/// One resolved probe: the first output lane of `(group, out_base)`,
-/// recorded per instance into series `{series}#{instance}`.
-struct EnsembleProbe {
-    group: usize,
-    out_base: usize,
-    series: String,
-}
-
-/// The ensemble engine (see module docs): `K` parameter-variants of one
-/// [`CompiledSystem`] stepped in lockstep over structure-of-arrays state.
-///
-/// Construct with [`EnsembleEngine::from_compiled`] (identical
-/// parameters) or [`EnsembleEngine::from_variants`] (per-instance
-/// overrides); the compiled system is only *borrowed* — it can still be
-/// handed to a [`HybridEngine`] afterwards.
-///
-/// # Examples
-///
-/// ```
-/// use urt_core::ensemble::EnsembleEngine;
-/// # use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
-/// # use urt_core::engine::EngineConfig;
-/// # use urt_core::model::ModelBuilder;
-/// # use urt_core::recorder::Recorder;
-/// # use urt_dataflow::flowtype::FlowType;
-/// # use urt_dataflow::streamer::FnStreamer;
-/// # let mut b = ModelBuilder::new("m");
-/// # let s = b.streamer("sine", "none");
-/// # b.streamer_out(s, "y", FlowType::scalar());
-/// # b.probe(s, "y", "y");
-/// # let registry = BehaviorRegistry::new().streamer("sine", || {
-/// #     Box::new(FnStreamer::new("sine", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-/// #         y[0] = t.sin()
-/// #     }))
-/// # });
-/// # let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
-/// let mut ensemble = EnsembleEngine::from_compiled(&compiled, 8, EngineConfig::default())?;
-/// let rec = Recorder::new();
-/// ensemble.set_recorder(rec.clone());
-/// ensemble.run_until(0.01)?;
-/// assert_eq!(rec.series(&EnsembleEngine::series_name("y", 7)).len(), 10);
-/// # Ok::<(), urt_core::error::CoreError>(())
-/// ```
-pub struct EnsembleEngine {
-    config: EngineConfig,
-    clock: SimClock,
-    k: usize,
-    groups: Vec<GroupState>,
-    channels: Vec<EnsembleChannel>,
-    probes: Vec<EnsembleProbe>,
-    /// `probe_series[p][i]`: interned handle of probe `p`, instance `i`.
-    /// Empty while no recorder is attached.
-    probe_series: Vec<Vec<SeriesHandle>>,
-    recorder: Option<Recorder>,
-    /// Declared per-macro-step budget (ns) carried over from the
-    /// compiled system — the default budget of
-    /// [`EnsembleEngine::run_paced`]. The budget covers one macro step of
-    /// the whole ensemble: all `K` instances advance inside it.
-    step_budget_ns: Option<f64>,
-    started: bool,
-}
-
-impl fmt::Debug for EnsembleEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EnsembleEngine")
-            .field("time", &self.clock.seconds())
-            .field("instances", &self.k)
-            .field("groups", &self.groups.len())
-            .field("policy", &self.config.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-fn engine_err(detail: String) -> CoreError {
-    CoreError::Engine { detail }
-}
-
-/// Builds one group's ensemble state: plan the network, replicate every
-/// streamer behaviour `k` times via `replicate` (a compiled system's
-/// behaviour factory, or `clone_fresh` on the network-first path), apply
-/// the overrides targeting group `gi`, and allocate the instance-major
-/// dense arrays.
-fn build_group(
-    net: &StreamerNetwork,
-    resolved: &[Vec<(usize, usize, &str, f64)>],
-    gi: usize,
-    k: usize,
-    replicate: &dyn Fn(NodeId) -> Result<Box<dyn StreamerBehavior>, CoreError>,
-) -> Result<GroupState, CoreError> {
-    let plan = net.step_plan().map_err(CoreError::Flow)?;
-    let mut behaviours: Vec<Vec<Box<dyn StreamerBehavior>>> = Vec::new();
-    for pn in plan.nodes() {
-        if !matches!(pn.kind, PlanNodeKind::Streamer) {
-            continue;
-        }
-        let mut lanes: Vec<Box<dyn StreamerBehavior>> = Vec::with_capacity(k);
-        for (i, overrides) in resolved.iter().enumerate() {
-            let mut b = replicate(pn.node)?;
-            for &(og, on, param, value) in overrides {
-                if og != gi || on != pn.node.index() {
-                    continue;
-                }
-                if !b.set_param(param, value) {
-                    return Err(engine_err(format!(
-                        "variant {i}: streamer `{}` does not recognise parameter `{param}`",
-                        net.node_name(pn.node).unwrap_or("?")
-                    )));
-                }
-            }
-            lanes.push(b);
-        }
-        behaviours.push(lanes);
-    }
-    Ok(GroupState {
-        ins: vec![0.0; k * plan.in_width()],
-        outs: vec![0.0; k * plan.out_width()],
-        ext: vec![0.0; k * plan.ext_in_width()],
-        plan,
-        behaviours,
-        batch_rows: Vec::new(),
-        kernel: EnsembleKernel::default(),
-        time: 0.0,
-    })
-}
-
-/// Decides, per streamer row, whether all K lanes can step through the
-/// batched kernel path: every lane must expose itself as a batchable
-/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free, handler-free, batched-kernel
-/// solver) and the row must be homogeneous in `dim` and `substep` — the
-/// lockstep schedule is shared. Called once after `initialize`.
-fn build_batch_rows(gs: &mut GroupState, k: usize) {
-    let rows = gs.behaviours.len();
-    gs.batch_rows.clear();
-    gs.batch_rows.reserve(rows);
-    for lanes in &gs.behaviours {
-        let candidate = (|| {
-            let first = lanes.first()?.as_ode_lane()?;
-            if !first.lane_batchable() {
+        let time = first.lane_time()?;
+        for b in lanes {
+            let lane = b.as_ode_lane()?;
+            if !lane.lane_batchable()
+                || lane.lane_dim() != dim
+                || lane.lane_substep().to_bits() != substep.to_bits()
+                || lane.lane_state().is_none()
+                || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
+            {
                 return None;
             }
-            let dim = first.lane_dim();
-            let substep = first.lane_substep();
-            if dim == 0 || !(substep.is_finite() && substep > 0.0) {
-                return None;
-            }
-            let time = first.lane_time()?;
-            for b in lanes {
-                let lane = b.as_ode_lane()?;
-                if !lane.lane_batchable()
-                    || lane.lane_dim() != dim
-                    || lane.lane_substep().to_bits() != substep.to_bits()
-                    || lane.lane_state().is_none()
-                    || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
-                {
-                    return None;
-                }
-            }
-            let solver = first.lane_clone_solver()?;
-            Some(BatchRow {
-                dim,
-                substep,
-                time,
-                solver,
-                states: vec![0.0; k * dim],
-                scratch_x: vec![0.0; dim],
-                scratch_d: vec![0.0; dim],
-            })
-        })();
-        gs.batch_rows.push(candidate);
-    }
-}
-
-impl EnsembleEngine {
-    /// Builds a `k`-instance ensemble with identical parameters (the
-    /// compiled system's own) for every instance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnsembleEngine::from_variants`].
-    pub fn from_compiled(
-        compiled: &CompiledSystem,
-        k: usize,
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        Self::from_variants(compiled, &vec![VariantSpec::default(); k], config)
-    }
-
-    /// Builds one ensemble instance per [`VariantSpec`], applying each
-    /// spec's overrides to its instance's freshly manufactured behaviours
-    /// before initialisation. Replication re-invokes the compiled
-    /// system's behaviour factories — every behaviour kind replicates,
-    /// with no [`StreamerBehavior::clone_fresh`] requirement (that
-    /// fallback remains only on the network-first
-    /// [`EnsembleEngine::from_network`] path).
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
-    ///   positive and finite.
-    /// * [`CoreError::Engine`] for an empty variant list, a system with
-    ///   SPort links (ensembles run the continuous half only), an
-    ///   override naming an unknown streamer, or a parameter the
-    ///   behaviour does not recognise.
-    /// * [`CoreError::Flow`] for structural errors surfaced while
-    ///   planning (same conditions as `StreamerNetwork::validate`).
-    pub fn from_variants(
-        compiled: &CompiledSystem,
-        variants: &[VariantSpec],
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
-            return Err(CoreError::InvalidStep { step: config.step });
         }
-        let k = variants.len();
-        if k == 0 {
-            return Err(engine_err("an ensemble needs at least one instance".into()));
-        }
-        if compiled.sport_link_count() > 0 {
-            return Err(engine_err(format!(
-                "ensemble execution runs the continuous half only: the compiled system has {} \
-                 SPort link(s); run it on a HybridEngine instead",
-                compiled.sport_link_count()
-            )));
-        }
-        // Resolve overrides up front: instance -> (group, node index) ->
-        // (param, value), failing fast on unknown streamer names.
-        let mut resolved: Vec<Vec<(usize, usize, &str, f64)>> = Vec::with_capacity(k);
-        for (i, v) in variants.iter().enumerate() {
-            let mut per_instance = Vec::with_capacity(v.overrides.len());
-            for (streamer, param, value) in &v.overrides {
-                let Some((group, node)) = compiled.streamer_node(streamer) else {
-                    return Err(engine_err(format!(
-                        "variant {i}: no streamer `{streamer}` in the compiled system"
-                    )));
-                };
-                per_instance.push((group, node.index(), param.as_str(), *value));
-            }
-            resolved.push(per_instance);
-        }
-
-        // One throwaway instantiation supplies the structural nets
-        // (plans, output handles, export lane layout); the K live
-        // behaviour sets come straight from the artifact's factories.
-        let instance = compiled.instantiate()?;
-        let nets = &instance.groups;
-        let mut groups = Vec::with_capacity(nets.len());
-        for (gi, net) in nets.iter().enumerate() {
-            let replicate = |node: NodeId| {
-                compiled.behavior_for(gi, node).ok_or_else(|| {
-                    engine_err(format!(
-                        "streamer `{}` has no behaviour factory in the compiled system",
-                        net.node_name(node).unwrap_or("?")
-                    ))
-                })
-            };
-            groups.push(build_group(net, &resolved, gi, k, &replicate)?);
-        }
-
-        // Cross-group channels: same parity-slot protocol as the
-        // HybridEngine, each slot widened to K instances.
-        let mut channels = Vec::with_capacity(compiled.cross_flows.len());
-        for cf in &compiled.cross_flows {
-            let from_net = &nets[cf.from_group];
-            let handle =
-                from_net.output_handle(cf.from_node, &cf.from_port).map_err(CoreError::Flow)?;
-            let from_base = groups[cf.from_group]
-                .plan
-                .out_offset(handle.node())
-                .expect("plan covers every node")
-                + handle.offset();
-            let width = handle.width();
-            // Consumer lane offset inside its group's exported-input
-            // vector (exports accumulate in registration order).
-            let to_net = &nets[cf.to_group];
-            let mut to_offset = None;
-            let mut cursor = 0usize;
-            for (n, p) in to_net.exported_inputs() {
-                let w: usize = to_net
-                    .in_ports(n)
-                    .map_err(CoreError::Flow)?
-                    .iter()
-                    .find(|spec| spec.name() == p)
-                    .map(|spec| spec.width())
-                    .unwrap_or(0);
-                if n == cf.to_node && p == cf.to_port {
-                    to_offset = Some(cursor);
-                    break;
-                }
-                cursor += w;
-            }
-            let Some(to_offset) = to_offset else {
-                return Err(engine_err(format!(
-                    "cross-group flow into `{}`.`{}`: the consumer input is not exported",
-                    to_net.node_name(cf.to_node).unwrap_or("?"),
-                    cf.to_port
-                )));
-            };
-            channels.push(EnsembleChannel {
-                from_group: cf.from_group,
-                from_base,
-                width,
-                to_group: cf.to_group,
-                to_offset,
-                bufs: Arc::new([
-                    Mutex::new(vec![0.0; k * width]),
-                    Mutex::new(vec![0.0; k * width]),
-                ]),
-            });
-        }
-
-        // Probes: resolved to per-instance dense offsets; recorded as
-        // `{series}#{instance}` once a recorder is attached.
-        let mut probes = Vec::with_capacity(compiled.probes.len());
-        for p in &compiled.probes {
-            let net = &nets[p.group];
-            let handle = net.output_handle(p.node, &p.port).map_err(CoreError::Flow)?;
-            let out_base =
-                groups[p.group].plan.out_offset(handle.node()).expect("plan covers every node")
-                    + handle.offset();
-            probes.push(EnsembleProbe { group: p.group, out_base, series: p.series.clone() });
-        }
-
-        Ok(EnsembleEngine {
-            config,
-            clock: SimClock::new(),
-            k,
-            groups,
-            channels,
-            probes,
-            probe_series: Vec::new(),
-            recorder: None,
-            step_budget_ns: compiled.step_budget_ns(),
-            started: false,
+        Some(BatchRow {
+            dim,
+            substep,
+            time,
+            solver: first.lane_clone_solver()?,
+            states: vec![0.0; lanes.len() * dim],
+            scratch_x: vec![0.0; dim],
+            scratch_d: vec![0.0; dim],
         })
     }
 
-    /// Builds a `k`-instance single-group ensemble over a raw
-    /// [`StreamerNetwork`] (the network-first path, no elaboration).
-    /// `probes` lists `(node, output port, series)` outputs to record —
-    /// raw networks carry no declared probes, so they are registered
-    /// here, against the borrowed network.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
-    ///   positive and finite.
-    /// * [`CoreError::Engine`] for `k == 0` or a behaviour that cannot
-    ///   be replicated ([`StreamerBehavior::clone_fresh`] returned
-    ///   `None` — with no behaviour registry in sight, `clone_fresh` is
-    ///   the only replication source on this path).
-    /// * [`CoreError::Flow`] for structural errors surfaced while
-    ///   planning and for unknown probe nodes/ports.
-    pub fn from_network(
-        net: &StreamerNetwork,
-        k: usize,
-        probes: &[(NodeId, &str, &str)],
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
-            return Err(CoreError::InvalidStep { step: config.step });
-        }
-        if k == 0 {
-            return Err(engine_err("an ensemble needs at least one instance".into()));
-        }
-        let resolved: Vec<Vec<(usize, usize, &str, f64)>> = vec![Vec::new(); k];
-        let replicate = |node: NodeId| {
-            net.try_clone_behavior(node).map_err(CoreError::Flow)?.ok_or_else(|| {
-                engine_err(format!(
-                    "streamer `{}` cannot be replicated for ensemble execution (clone_fresh \
-                     returned None — boxed handlers, guards and non-cloneable systems are not \
-                     replicable)",
-                    net.node_name(node).unwrap_or("?")
-                ))
-            })
-        };
-        let group = build_group(net, &resolved, 0, k, &replicate)?;
-        let mut ensemble_probes = Vec::with_capacity(probes.len());
-        for &(node, port, series) in probes {
-            let handle = net.output_handle(node, port).map_err(CoreError::Flow)?;
-            let out_base = group.plan.out_offset(handle.node()).expect("plan covers every node")
-                + handle.offset();
-            ensemble_probes.push(EnsembleProbe { group: 0, out_base, series: series.to_owned() });
-        }
-        Ok(EnsembleEngine {
-            config,
-            clock: SimClock::new(),
-            k,
-            groups: vec![group],
-            channels: Vec::new(),
-            probes: ensemble_probes,
-            probe_series: Vec::new(),
-            recorder: None,
-            step_budget_ns: None,
-            started: false,
-        })
-    }
-
-    /// The recorder series name of probe series `series` for ensemble
-    /// instance `instance`: `{series}#{instance}`.
-    pub fn series_name(series: &str, instance: usize) -> String {
-        format!("{series}#{instance}")
-    }
-
-    /// Number of ensemble instances `K`.
-    pub fn instances(&self) -> usize {
-        self.k
-    }
-
-    /// Number of streamer groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Current simulation time in seconds.
-    pub fn time(&self) -> f64 {
-        self.clock.seconds()
-    }
-
-    /// Number of macro steps taken.
-    pub fn step_count(&self) -> u64 {
-        self.clock.step_count()
-    }
-
-    /// Attaches a recorder, interning one `{series}#{instance}` handle
-    /// per (probe, instance) pair so the per-step record path is
-    /// lookup-free.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.probe_series = self
-            .probes
-            .iter()
-            .map(|p| {
-                (0..self.k).map(|i| recorder.handle(&Self::series_name(&p.series, i))).collect()
-            })
-            .collect();
-        self.recorder = Some(recorder);
-    }
-
-    fn start_if_needed(&mut self) -> Result<(), CoreError> {
-        if self.started {
-            return Ok(());
-        }
-        let t0 = self.clock.seconds();
-        for gs in &mut self.groups {
-            gs.time = t0;
-            for lanes in &mut gs.behaviours {
-                for b in lanes {
-                    b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
-                }
-            }
-            build_batch_rows(gs, self.k);
-        }
-        self.started = true;
-        Ok(())
-    }
-
-    /// Selects the ODE stepping kernel for all groups (see
-    /// [`EnsembleKernel`]). The default is
-    /// [`Batched`](EnsembleKernel::Batched); results are bit-identical
-    /// either way, so this is a pure performance knob (and the
-    /// `bench_engine` kernel axis).
-    pub fn set_kernel(&mut self, kernel: EnsembleKernel) {
-        for gs in &mut self.groups {
-            gs.kernel = kernel;
-        }
-    }
-
-    /// Runs until simulation time `t_end`, in macro steps of
-    /// `config.step`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver and thread failures.
-    pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
-        self.start_if_needed()?;
-        let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
-        match self.config.policy {
-            ThreadPolicy::CurrentThread => {
-                for _ in 0..n {
-                    self.step_once()?;
-                }
-                Ok(())
-            }
-            ThreadPolicy::DedicatedThreads => self.run_threaded(n),
-        }
-    }
-
-    /// The per-macro-step deadline budget the ensemble carries (from the
-    /// compiled system's declared budget), nanoseconds per macro step.
-    pub fn step_budget_ns(&self) -> Option<f64> {
-        self.step_budget_ns
-    }
-
-    /// Hard real-time mode for ensembles: runs until `t_end` with each
-    /// macro step of the whole ensemble paced against the wall clock and
-    /// measured against the budget — the analogue of
-    /// [`HybridEngine::run_paced`](crate::engine::HybridEngine::run_paced),
-    /// with one cycle covering all `K` instances (hardware-in-the-loop
-    /// ensembles release every variant at the same instant).
-    ///
-    /// A paced ensemble always steps on the calling thread, regardless of
-    /// `config.policy`: the dedicated-thread schedule hands each worker a
-    /// whole segment with no per-step release points, so there is nothing
-    /// for a pacer to anchor to (and spawning threads per step would put
-    /// allocation back into the loop). Results are bit-identical either
-    /// way — the policy-equivalence anchor pins local and threaded
-    /// ensemble runs to the same series.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DeadlineOverrun`] when an
-    /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
-    /// run exhausts its consecutive-miss tolerance, plus the usual solver
-    /// failures.
-    pub fn run_paced(
+    /// Advances every lane of the row from `t` to `t + h`, reading inputs
+    /// from and writing outputs to the group's instance-major dense
+    /// arrays at the plan node's offsets.
+    pub(crate) fn step(
         &mut self,
-        t_end: f64,
-        config: crate::pacer::PacedConfig,
-    ) -> Result<crate::pacer::PacedReport, CoreError> {
-        self.start_if_needed()?;
-        let mut runner =
-            crate::pacer::PacedRunner::new(config, self.step_budget_ns, self.config.step);
-        let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
-        for _ in 0..n {
-            runner.begin();
-            self.step_once()?;
-            runner.end(1, self.clock.seconds())?;
+        lanes: &mut [Box<dyn StreamerBehavior>],
+        pn: &PlanNode,
+        ins: &[f64],
+        outs: &mut [f64],
+        t: f64,
+        h: f64,
+    ) -> Result<(), CoreError> {
+        let (inw, outw) = (ins.len() / lanes.len(), outs.len() / lanes.len());
+        let dim = self.dim;
+        let t_end = t + h;
+        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
+        for (i, b) in lanes.iter().enumerate() {
+            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
+            let x = lane.lane_state().expect("batch rows are initialized");
+            self.states[i * dim..(i + 1) * dim].copy_from_slice(x);
         }
-        Ok(runner.finish())
-    }
-
-    /// One macro step of all `K` instances on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn step_once(&mut self) -> Result<(), CoreError> {
-        self.start_if_needed()?;
-        let h = self.config.step;
-        self.latch_channel_inputs();
-        let k = self.k;
-        for gs in &mut self.groups {
-            gs.step(h, k)?;
+        let sys = LaneBatchSystem {
+            lanes,
+            ins,
+            inw,
+            in_offset: pn.in_offset,
+            in_width: pn.in_width,
+            dim,
+            scratch: RefCell::new((
+                std::mem::take(&mut self.scratch_x),
+                std::mem::take(&mut self.scratch_d),
+            )),
+        };
+        // The scalar path's sub-step schedule verbatim
+        // (`OdeStreamer::advance` + `SolverDriver::advance` for a
+        // fixed-step solver), resuming from the persistent row clock, so
+        // every lane sees the exact `(t, h)` sequence of a standalone run.
+        let mut tl = self.time;
+        let mut result = Ok(());
+        while tl < t_end - resolution {
+            let remaining = t_end - tl;
+            if remaining <= resolution {
+                // The driver's own entry check can disagree with the loop
+                // test by one rounding: snap without stepping.
+                tl = t_end;
+                continue;
+            }
+            let h_sub = self.substep.min(remaining);
+            result = self.solver.step_batch(&sys, tl, &mut self.states, dim, h_sub);
+            if result.is_err() {
+                break;
+            }
+            tl += h_sub;
+            if t_end - tl <= resolution {
+                tl = t_end;
+            }
         }
-        self.clock.tick(h);
-        self.publish_channel_outputs();
-        self.record_probes();
+        (self.scratch_x, self.scratch_d) = sys.scratch.into_inner();
+        result.map_err(|e| CoreError::Flow(e.into()))?;
+        self.time = tl;
+        for (i, b) in lanes.iter_mut().enumerate() {
+            let ui = i * inw + pn.in_offset;
+            let yi = i * outw + pn.out_offset;
+            let x = &self.states[i * dim..(i + 1) * dim];
+            let lane = b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
+            // Sync the driver to the row clock (which may sit one rounding
+            // shy of `t_end`), exactly where the scalar driver would have
+            // left it.
+            lane.lane_sync(self.time, x).map_err(|e| CoreError::Flow(e.into()))?;
+            lane.lane_output(
+                t_end,
+                x,
+                &ins[ui..ui + pn.in_width],
+                &mut outs[yi..yi + pn.out_width],
+            );
+            // Batchable lanes are guard-free, so nothing can be pending;
+            // drain regardless, as the scalar branch does.
+            let _ = b.take_emitted();
+        }
         Ok(())
-    }
-
-    /// Copies every channel's front slot (`step_count % 2`, pre-tick)
-    /// into its consumer group's external staging — all `K` instances'
-    /// previous-step samples (the channel's one-step delay).
-    fn latch_channel_inputs(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let src = ch.bufs[slot].lock();
-            let gs = &mut self.groups[ch.to_group];
-            let extw = gs.plan.ext_in_width();
-            for i in 0..self.k {
-                let dst = i * extw + ch.to_offset;
-                gs.ext[dst..dst + ch.width].copy_from_slice(&src[i * ch.width..(i + 1) * ch.width]);
-            }
-        }
-    }
-
-    /// Copies every channel's producer lanes into its back slot
-    /// (`step_count % 2` post-tick — what consumers read next step).
-    fn publish_channel_outputs(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let mut dst = ch.bufs[slot].lock();
-            let gs = &self.groups[ch.from_group];
-            let outw = gs.plan.out_width();
-            for i in 0..self.k {
-                let src = i * outw + ch.from_base;
-                dst[i * ch.width..(i + 1) * ch.width]
-                    .copy_from_slice(&gs.outs[src..src + ch.width]);
-            }
-        }
-    }
-
-    fn record_probes(&mut self) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let t = self.clock.seconds();
-        for (p, handles) in self.probes.iter().zip(&self.probe_series) {
-            let gs = &self.groups[p.group];
-            let outw = gs.plan.out_width();
-            for (i, series) in handles.iter().enumerate() {
-                series.push(t, gs.outs[i * outw + p.out_base]);
-            }
-        }
-    }
-
-    /// Threaded execution: one worker per group for the whole segment,
-    /// synchronised between sub-steps over a [`SpinBarrier`] only where
-    /// channels demand it (exactly the [`HybridEngine`] discipline).
-    /// Workers stamp probe samples from private clock copies, so the
-    /// series carry bit-identical instants to the local path.
-    fn run_threaded(&mut self, n_steps: u64) -> Result<(), CoreError> {
-        if n_steps == 0 {
-            return Ok(());
-        }
-        let h = self.config.step;
-        if self.groups.is_empty() {
-            for _ in 0..n_steps {
-                self.clock.tick(h);
-            }
-            return Ok(());
-        }
-        let k = self.k;
-        let n_groups = self.groups.len();
-        type Bufs = Arc<[Mutex<Vec<f64>>; 2]>;
-        let mut incoming: Vec<Vec<(Bufs, usize, usize)>> = vec![Vec::new(); n_groups];
-        let mut outgoing: Vec<Vec<(Bufs, usize, usize)>> = vec![Vec::new(); n_groups];
-        for ch in &self.channels {
-            incoming[ch.to_group].push((Arc::clone(&ch.bufs), ch.to_offset, ch.width));
-            outgoing[ch.from_group].push((Arc::clone(&ch.bufs), ch.from_base, ch.width));
-        }
-        let participating: Vec<bool> =
-            (0..n_groups).map(|g| !incoming[g].is_empty() || !outgoing[g].is_empty()).collect();
-        let n_participants = participating.iter().filter(|&&p| p).count();
-        let barrier = (n_participants >= 2).then(|| Arc::new(SpinBarrier::new(n_participants)));
-        let record = self.recorder.is_some();
-        let mut group_probes: Vec<Vec<(usize, Vec<SeriesHandle>)>> = vec![Vec::new(); n_groups];
-        if record {
-            for (p, handles) in self.probes.iter().zip(&self.probe_series) {
-                group_probes[p.group].push((p.out_base, handles.clone()));
-            }
-        }
-        let clock0 = self.clock.clone();
-
-        let result = std::thread::scope(|scope| -> Result<(), CoreError> {
-            let mut workers = Vec::with_capacity(n_groups);
-            for (gi, gs) in self.groups.iter_mut().enumerate() {
-                let my_in = std::mem::take(&mut incoming[gi]);
-                let my_out = std::mem::take(&mut outgoing[gi]);
-                let my_probes = std::mem::take(&mut group_probes[gi]);
-                let my_barrier = participating[gi].then(|| barrier.clone()).flatten();
-                let mut clock = clock0.clone();
-                workers.push(scope.spawn(move || -> Result<(), CoreError> {
-                    let mut result: Result<(), CoreError> = Ok(());
-                    for s in 0..n_steps {
-                        // A worker that already failed stops stepping and
-                        // publishing but keeps waiting at the sub-step
-                        // barrier, so its peers never deadlock.
-                        if s > 0 {
-                            if let Some(b) = &my_barrier {
-                                b.wait();
-                            }
-                        }
-                        if result.is_err() {
-                            clock.tick(h);
-                            continue;
-                        }
-                        if !my_in.is_empty() {
-                            let slot = (clock.step_count() % 2) as usize;
-                            let extw = gs.plan.ext_in_width();
-                            for (bufs, off, w) in &my_in {
-                                let src = bufs[slot].lock();
-                                for i in 0..k {
-                                    let dst = i * extw + off;
-                                    gs.ext[dst..dst + w].copy_from_slice(&src[i * w..(i + 1) * w]);
-                                }
-                            }
-                        }
-                        result = gs.step(h, k);
-                        clock.tick(h);
-                        if result.is_err() {
-                            continue;
-                        }
-                        if !my_out.is_empty() {
-                            let slot = (clock.step_count() % 2) as usize;
-                            let outw = gs.plan.out_width();
-                            for (bufs, base, w) in &my_out {
-                                let mut dst = bufs[slot].lock();
-                                for i in 0..k {
-                                    let src = i * outw + base;
-                                    dst[i * w..(i + 1) * w].copy_from_slice(&gs.outs[src..src + w]);
-                                }
-                            }
-                        }
-                        if !my_probes.is_empty() {
-                            let t = clock.seconds();
-                            let outw = gs.plan.out_width();
-                            for (base, series) in &my_probes {
-                                for (i, sh) in series.iter().enumerate() {
-                                    sh.push(t, gs.outs[i * outw + base]);
-                                }
-                            }
-                        }
-                    }
-                    result
-                }));
-            }
-            let mut first_err = None;
-            for w in workers {
-                match w.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        });
-        for _ in 0..n_steps {
-            self.clock.tick(h);
-        }
-        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
-    use crate::engine::HybridEngine;
+    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+    use crate::engine::{EngineConfig, HybridEngine};
     use crate::model::{ModelBuilder, UnifiedModel};
     use crate::recorder::Recorder;
+    use crate::threading::ThreadPolicy;
+    use crate::time::SimClock;
     use urt_dataflow::flowtype::FlowType;
+    use urt_dataflow::graph::StreamerNetwork;
     use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
     use urt_ode::solver::SolverKind;
     use urt_ode::system::InputSystem;
@@ -1167,6 +405,11 @@ mod tests {
         elaborate(&model, registry, &validate_gate).expect("elaborates")
     }
 
+    /// `k` instances with the compiled system's own parameters.
+    fn replicas(k: usize) -> Vec<VariantSpec> {
+        vec![VariantSpec::new(); k]
+    }
+
     fn bit_eq(a: &[(f64, f64)], b: &[(f64, f64)], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, ((t1, v1), (t2, v2))) in a.iter().zip(b.iter()).enumerate() {
@@ -1225,7 +468,8 @@ mod tests {
         let registry = BehaviorRegistry::new().streamer("plant", || Box::new(P));
         let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
         assert_eq!(compiled.sport_link_count(), 1);
-        let err = EnsembleEngine::from_compiled(&compiled, 4, EngineConfig::default()).unwrap_err();
+        let err = EnsembleEngine::from_variants(&compiled, &replicas(4), EngineConfig::default())
+            .unwrap_err();
         assert!(err.to_string().contains("SPort link"), "{err}");
     }
 
@@ -1269,7 +513,8 @@ mod tests {
         let registry = BehaviorRegistry::new().streamer("opaque", || Box::new(Opaque));
         let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 2, EngineConfig::default()).unwrap();
+            EnsembleEngine::from_variants(&compiled, &replicas(2), EngineConfig::default())
+                .unwrap();
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
         ensemble.run_until(0.01).unwrap();
@@ -1289,7 +534,7 @@ mod tests {
     fn ensemble_refuses_bad_step_with_structured_error() {
         let compiled = compile(1.0, 1.0);
         let bad = EngineConfig { step: 0.0, policy: ThreadPolicy::CurrentThread };
-        let err = EnsembleEngine::from_compiled(&compiled, 2, bad).unwrap_err();
+        let err = EnsembleEngine::from_variants(&compiled, &replicas(2), bad).unwrap_err();
         assert!(matches!(err, CoreError::InvalidStep { .. }), "{err}");
         assert!(err.to_string().starts_with("URT116: "), "{err}");
 
@@ -1316,7 +561,8 @@ mod tests {
     fn k1_ensemble_matches_hybrid_engine_bitwise() {
         let compiled = compile(1.5, 2.0);
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 1, EngineConfig::default()).unwrap();
+            EnsembleEngine::from_variants(&compiled, &replicas(1), EngineConfig::default())
+                .unwrap();
         let erec = Recorder::new();
         ensemble.set_recorder(erec.clone());
         ensemble.run_until(0.05).unwrap();
@@ -1500,7 +746,8 @@ mod tests {
         });
         let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 3, EngineConfig::default()).unwrap();
+            EnsembleEngine::from_variants(&compiled, &replicas(3), EngineConfig::default())
+                .unwrap();
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
         ensemble.run_until(0.02).unwrap();
@@ -1653,18 +900,23 @@ mod tests {
         let compiled = compile(2.0, 1.0);
         let free = {
             let mut e =
-                EnsembleEngine::from_compiled(&compiled, 3, EngineConfig::default()).unwrap();
+                EnsembleEngine::from_variants(&compiled, &replicas(3), EngineConfig::default())
+                    .unwrap();
             let rec = Recorder::new();
             e.set_recorder(rec.clone());
             e.run_until(0.05).unwrap();
             rec
         };
-        // Paced always steps locally, even under DedicatedThreads (no
-        // per-step release points in the segment-wise threaded schedule).
+        // The threaded schedule paces at its batch barriers, as a single
+        // instance does; a batch cap of 1 makes every step its own cycle.
         for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-            let mut e =
-                EnsembleEngine::from_compiled(&compiled, 3, EngineConfig { step: 1e-3, policy })
-                    .unwrap();
+            let mut e = EnsembleEngine::from_variants(
+                &compiled,
+                &replicas(3),
+                EngineConfig { step: 1e-3, policy },
+            )
+            .unwrap();
+            e.set_max_batch(1);
             assert_eq!(e.step_budget_ns(), None, "decay chain declares no budget");
             let rec = Recorder::new();
             e.set_recorder(rec.clone());

@@ -24,13 +24,14 @@
 //!   strategies attachable to streamers at run time.
 //! * [`threading`] — thread-assignment policies ("assigned to one or
 //!   several threads").
-//! * [`engine`] — the hybrid co-simulation engine: a capsule controller
-//!   plus streamer groups on dedicated solver threads, bridged by channel
-//!   communication ("communication mechanism of threads").
-//! * [`ensemble`] — structure-of-arrays ensemble execution: `K`
-//!   parameter-variants of one compiled system stepped in lockstep, with
-//!   routing and channel bookkeeping paid once per step instead of once
-//!   per instance.
+//! * [`engine`] — the hybrid co-simulation engine, one engine for 1 or
+//!   `K` lockstep instances: a capsule controller plus streamer groups
+//!   replayed from their dense step plans over `K` instance-major lane
+//!   sets, on dedicated solver threads, bridged by channel communication
+//!   ("communication mechanism of threads").
+//! * [`ensemble`] — the `K`-specific parts: per-instance parameter
+//!   variants, the lane-batched ODE kernel, and the `EnsembleEngine`
+//!   name for the one engine.
 //! * [`pacer`] — hard real-time mode: wall-clock pacing, per-step
 //!   deadline budgets and overrun policies behind
 //!   [`engine::HybridEngine::run_paced`], the paced, deadline-enforced

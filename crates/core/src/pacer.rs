@@ -19,12 +19,10 @@
 //!   (allocation-free recording) behind the p50/p99 figures of a
 //!   [`PacedReport`].
 //! * [`PacedConfig`] / [`OverrunPolicy`] / [`PacedReport`] — the public
-//!   surface of [`HybridEngine::run_paced`] and
-//!   [`EnsembleEngine::run_paced`]: the paced, deadline-enforced run
-//!   loops in the compiled path.
+//!   surface of [`HybridEngine::run_paced`]: the paced, deadline-enforced
+//!   run loop in the compiled path, for one instance or `K`.
 //!
 //! [`HybridEngine::run_paced`]: crate::engine::HybridEngine::run_paced
-//! [`EnsembleEngine::run_paced`]: crate::ensemble::EnsembleEngine::run_paced
 
 use crate::error::CoreError;
 use std::fmt;

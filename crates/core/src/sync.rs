@@ -16,9 +16,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// sub-microsecond macro steps that would erase the batching win, so the
 /// inner sub-step barrier spins (briefly) and then yields. Batch
 /// boundaries still use a channel rendezvous, which parks properly —
-/// spinning is confined to the hot inner loop. Shared by the threaded
-/// paths of [`HybridEngine`](crate::engine::HybridEngine) and
-/// [`EnsembleEngine`](crate::ensemble::EnsembleEngine).
+/// spinning is confined to the hot inner loop. Used by the threaded
+/// schedule of [`HybridEngine`](crate::engine::HybridEngine).
+///
+/// The barrier owns its cache lines: every participant hammers its two
+/// counters, and any neighbouring data sharing their line (it may live
+/// on the coordinator's stack) would turn each spin into a cache miss.
+#[repr(align(128))]
 pub(crate) struct SpinBarrier {
     participants: usize,
     count: AtomicUsize,

@@ -174,6 +174,13 @@ enum NodeKind {
     /// "Relay is used as a relay point which generates two similar flows
     /// from a flow" — one input copied to every output port.
     Relay,
+    /// A streamer whose behaviour was moved out by
+    /// [`StreamerNetwork::take_behavior`]: ports, SPorts and the
+    /// feedthrough flag stay for structural queries, and stepping the
+    /// network leaves the node's outputs untouched.
+    Detached {
+        feedthrough: bool,
+    },
 }
 
 struct Node {
@@ -200,6 +207,7 @@ impl Node {
         match &self.kind {
             NodeKind::Streamer(b) => b.direct_feedthrough(),
             NodeKind::Relay => true,
+            NodeKind::Detached { feedthrough } => *feedthrough,
         }
     }
 }
@@ -786,6 +794,7 @@ impl StreamerNetwork {
                         node.out_buf[k * w..(k + 1) * w].copy_from_slice(&node.in_buf);
                     }
                 }
+                NodeKind::Detached { .. } => {}
             }
         }
         self.order = order;
@@ -901,7 +910,7 @@ impl StreamerNetwork {
                     out_width: node.out_buf.len(),
                     gathers,
                     kind: match &node.kind {
-                        NodeKind::Streamer(_) => PlanNodeKind::Streamer,
+                        NodeKind::Streamer(_) | NodeKind::Detached { .. } => PlanNodeKind::Streamer,
                         NodeKind::Relay => PlanNodeKind::Relay {
                             in_width: node.in_buf.len(),
                             fanout: node.out_ports.len(),
@@ -936,8 +945,33 @@ impl StreamerNetwork {
         let n = self.nodes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
         Ok(match &n.kind {
             NodeKind::Streamer(b) => b.clone_fresh(),
-            NodeKind::Relay => None,
+            NodeKind::Relay | NodeKind::Detached { .. } => None,
         })
+    }
+
+    /// Moves a streamer's behaviour out of the network, for an executor
+    /// that replays the network's [`StepPlan`] over its own state arrays.
+    /// The node stays behind, detached: its ports, SPorts and feedthrough
+    /// flag still answer structural queries, but stepping the network no
+    /// longer advances it. Returns `Ok(None)` for relays and for nodes
+    /// already detached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn take_behavior(
+        &mut self,
+        node: NodeId,
+    ) -> Result<Option<Box<dyn StreamerBehavior>>, FlowError> {
+        let n = self.nodes.get_mut(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
+        let feedthrough = n.direct_feedthrough();
+        match std::mem::replace(&mut n.kind, NodeKind::Detached { feedthrough }) {
+            NodeKind::Streamer(b) => Ok(Some(b)),
+            other => {
+                n.kind = other;
+                Ok(None)
+            }
+        }
     }
 
     /// Delivers a signal message to a node's behaviour (as if it arrived on
@@ -1070,14 +1104,11 @@ mod tests {
     use crate::streamer::FnStreamer;
     use urt_umlrt::protocol::Protocol;
 
-    fn source(name: &str) -> FnStreamer<impl FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone> {
+    fn source(name: &str) -> impl StreamerBehavior {
         FnStreamer::new(name, 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = t)
     }
 
-    fn gain(
-        name: &str,
-        k: f64,
-    ) -> FnStreamer<impl FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone> {
+    fn gain(name: &str, k: f64) -> impl StreamerBehavior {
         FnStreamer::new(name, 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| y[0] = k * u[0])
     }
 
@@ -1479,6 +1510,25 @@ mod tests {
     }
 
     #[test]
+    fn taken_behaviours_leave_a_structural_shell() {
+        let (mut net, g1, _, ext) = plan_fixture();
+        let plan = net.step_plan().unwrap();
+        let relay = NodeId(1);
+        assert!(net.take_behavior(relay).unwrap().is_none(), "relays have no behaviour");
+        let b = net.take_behavior(g1).unwrap().expect("streamer behaviour");
+        assert_eq!(b.name(), "g1");
+        assert!(net.take_behavior(g1).unwrap().is_none(), "already detached");
+        assert!(net.take_behavior(NodeId(99)).is_err());
+        // Structure, feedthrough and the plan survive the move.
+        assert_eq!(net.node_name(g1).unwrap(), "g1");
+        assert!(net.node_feedthrough(g1).unwrap());
+        assert_eq!(net.output_handle(g1, "o").unwrap().width(), 1);
+        assert_eq!(net.exported_inputs(), vec![(ext, "i")]);
+        assert_eq!(net.step_plan().unwrap(), plan);
+        assert!(net.try_clone_behavior(g1).unwrap().is_none());
+    }
+
+    #[test]
     fn step_plan_replays_step_bit_identically() {
         let (mut net, g1, g2, ext) = plan_fixture();
         let plan = net.step_plan().expect("plan computes without &mut");
@@ -1502,9 +1552,7 @@ mod tests {
             for pn in plan.nodes() {
                 for gth in &pn.gathers {
                     let (src, dst) = (gth.src, gth.dst);
-                    for k in 0..gth.len {
-                        ins[dst + k] = outs[src + k];
-                    }
+                    ins[dst..dst + gth.len].copy_from_slice(&outs[src..src + gth.len]);
                 }
                 match pn.kind {
                     PlanNodeKind::Streamer => {

@@ -646,7 +646,7 @@ mod tests {
     use urt_ode::solver::SolverKind;
     use urt_ode::system::FnInputSystem;
 
-    fn first_order_plant() -> FnInputSystem<impl Fn(f64, &[f64], &[f64], &mut [f64]) + Clone> {
+    fn first_order_plant() -> impl InputSystem + Clone {
         // x' = u - x : first-order lag.
         FnInputSystem::new(1, 1, |_t, x: &[f64], u: &[f64], dx: &mut [f64]| {
             dx[0] = u[0] - x[0];

@@ -77,7 +77,7 @@ pub struct HybridTrajectory {
 ///     guards,
 ///     |label, _t, x| {
 ///         assert_eq!(label, "bounce");
-///         x[1] = -0.8 * x[1];
+///         x[1] *= -0.8;
 ///         EventOutcome::Continue
 ///     },
 ///     0.0,
@@ -203,7 +203,7 @@ mod tests {
             guards,
             |_l, _t, x| {
                 x[0] = 0.0;
-                x[1] = -0.8 * x[1];
+                x[1] *= -0.8;
                 EventOutcome::Continue
             },
             0.0,
@@ -258,7 +258,7 @@ mod tests {
             guards,
             |_l, _t, x| {
                 x[0] = 0.0;
-                x[1] = -0.99 * x[1];
+                x[1] *= -0.99;
                 EventOutcome::Continue
             },
             0.0,

@@ -793,7 +793,12 @@ impl SolverDriver {
         if !(h.is_finite() && h > 0.0) {
             return Err(SolveError::InvalidStep { step: h });
         }
-        Ok(SolverDriver { t: t0, x: StateVec::from_slice(x0), h, h_nominal: h })
+        // Solver threads advance their drivers concurrently, and a state
+        // of a few lanes is a tiny allocation: padded to a whole 128-byte
+        // cache-line pair, two drivers' states never share a line.
+        let mut x = Vec::with_capacity(x0.len().next_multiple_of(16));
+        x.extend_from_slice(x0);
+        Ok(SolverDriver { t: t0, x: StateVec::from(x), h, h_nominal: h })
     }
 
     /// Current time.

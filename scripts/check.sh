@@ -15,8 +15,8 @@ cargo test -q --offline
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --offline --all-targets -- -D warnings"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> urt-lint --json smoke"
 lint_json="$(cargo run -q --offline -p urt-analysis --bin urt-lint -- --json demo)"

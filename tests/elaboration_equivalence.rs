@@ -14,13 +14,19 @@
 //!   agree to the last bit.
 //! * **quickstart** — the bang-bang thermostat: an ODE streamer with
 //!   zero-crossing guards SPort-linked to a thermostat capsule.
+//!
+//! A third check pins the engine's plan replay against
+//! `StreamerNetwork::step` itself for a group that emits and receives
+//! SPort signals (a bouncing ball feeding a relay).
 
+use std::sync::{Arc, Mutex};
 use unified_rt::analysis::compile;
 use unified_rt::core::elaborate::BehaviorRegistry;
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
+use unified_rt::core::time::SimClock;
 use unified_rt::dataflow::flowtype::{FlowType, Unit};
 use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
@@ -29,6 +35,7 @@ use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
 use unified_rt::umlrt::controller::Controller;
+use unified_rt::umlrt::message::Message;
 use unified_rt::umlrt::protocol::{PayloadKind, Protocol};
 use unified_rt::umlrt::statemachine::{SmSpec, StateMachineBuilder};
 use unified_rt::umlrt::value::Value;
@@ -466,5 +473,138 @@ fn quickstart_elaboration_is_bit_identical_to_hand_wiring() {
         // The closed loop actually switched — this is not an idle run.
         assert!(wired.delivered >= 2, "quickstart/{policy}: the thermostat saw crossings");
         assert_eq!(wired.final_state.as_deref(), lowered.final_state.as_deref());
+    }
+}
+
+// ------------------------------------------- plan replay with signals
+
+/// Falling ball whose height is the single output lane.
+#[derive(Clone)]
+struct Ball;
+
+impl InputSystem for Ball {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn input_dim(&self) -> usize {
+        0
+    }
+    fn derivatives(&self, _t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
+        dx[0] = x[1];
+        dx[1] = -9.81;
+    }
+    fn output(&self, _t: f64, x: &[f64], _u: &[f64], y: &mut [f64]) {
+        y[0] = x[0];
+    }
+    fn output_dim(&self) -> usize {
+        1
+    }
+}
+
+/// A guarded ball emitting `bounce` on its `game` SPort and turning a
+/// received `kick` into the restitution reset, feeding a relay that fans
+/// the height out to a doubler and a squarer.
+fn bouncing_network() -> (StreamerNetwork, [unified_rt::dataflow::graph::NodeId; 3]) {
+    let ball = OdeStreamer::new("ball", Ball, SolverKind::Rk4.create(), &[1.0, 0.0], 1e-4)
+        .with_guard(ZeroCrossing::new("bounce", EventDirection::Falling, |_t, x| x[0]))
+        .with_event_sport("game")
+        .with_signal_handler(|msg, _ball: &mut Ball, state| {
+            if msg.signal() == "kick" {
+                state[0] = 0.0;
+                state[1] *= -0.8;
+            }
+        });
+    let mut net = StreamerNetwork::new("bouncing");
+    let ball = net.add_streamer(ball, &[], &[("height", FlowType::scalar())]).expect("ball");
+    let relay = net.add_relay("split", FlowType::scalar(), 2).expect("relay");
+    let dbl = net
+        .add_streamer_boxed(
+            fig2_doubler(),
+            &[("u", FlowType::scalar())],
+            &[("y", FlowType::scalar())],
+        )
+        .expect("doubler");
+    let sq = net
+        .add_streamer_boxed(
+            fig2_squarer(),
+            &[("u", FlowType::scalar())],
+            &[("y", FlowType::scalar())],
+        )
+        .expect("squarer");
+    net.flow((ball, "height"), (relay, "in")).expect("flow 1");
+    net.flow((relay, "out0"), (dbl, "u")).expect("flow 2");
+    net.flow((relay, "out1"), (sq, "u")).expect("flow 3");
+    (net, [ball, dbl, sq])
+}
+
+#[test]
+fn plan_replay_matches_network_stepping_for_a_signal_emitting_group() {
+    const STEP: f64 = 0.002;
+    const STEPS: usize = 1500;
+    type Emission = (unified_rt::dataflow::graph::NodeId, String, Message);
+
+    // Reference: the network stepped directly, with the referee's reply
+    // (a `kick` per `bounce`) delivered before the next step, as the
+    // engine delivers capsule messages.
+    let (mut net, [ball, dbl, sq]) = bouncing_network();
+    net.initialize(0.0).expect("init");
+    let mut clock = SimClock::new();
+    let (mut expect_dbl, mut expect_sq) = (Vec::new(), Vec::new());
+    let mut expect_emitted: Vec<Emission> = Vec::new();
+    let mut kicks = 0;
+    for _ in 0..STEPS {
+        for _ in 0..std::mem::take(&mut kicks) {
+            net.send_signal(ball, &Message::new("kick", Value::Empty)).expect("kick");
+        }
+        net.step(STEP).expect("step");
+        clock.tick(STEP);
+        let t = clock.seconds();
+        expect_dbl.push((t, net.output(dbl, "y").expect("dbl")[0]));
+        expect_sq.push((t, net.output(sq, "y").expect("sq")[0]));
+        for (node, sport, msg) in net.drain_signals() {
+            kicks += usize::from(msg.signal() == "bounce");
+            expect_emitted.push((node, sport, msg.with_port("ball")));
+        }
+    }
+    assert!(expect_emitted.len() >= 3, "the ball bounces several times");
+
+    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+        let received: Arc<Mutex<Vec<Message>>> = Arc::default();
+        let referee = StateMachineBuilder::new("referee")
+            .state("playing")
+            .initial("playing", |_d: &mut Arc<Mutex<Vec<Message>>>, _ctx: &mut CapsuleContext| {})
+            .internal("playing", ("ball", "bounce"), |log, m, ctx| {
+                log.lock().expect("log").push(m.clone());
+                ctx.send("ball", "kick", Value::Empty);
+            })
+            .build()
+            .expect("referee");
+        let mut controller = Controller::new("ev");
+        let cap = controller.add_capsule(Box::new(SmCapsule::new(referee, received.clone())));
+        let (net, [ball, dbl, sq]) = bouncing_network();
+        let mut engine = HybridEngine::new(controller, EngineConfig { step: STEP, policy });
+        let g = engine.add_group(net).expect("group");
+        engine.link_sport(g, ball, "game", cap, "ball").expect("link");
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        engine.add_probe(g, dbl, "y", "dbl").expect("probe dbl");
+        engine.add_probe(g, sq, "y", "sq").expect("probe sq");
+        engine.run_until(STEPS as f64 * STEP).expect("run");
+
+        for (name, expect) in [("dbl", &expect_dbl), ("sq", &expect_sq)] {
+            let got = rec.series(name);
+            assert_eq!(got.len(), expect.len(), "{policy}: `{name}` length");
+            for (k, ((t1, v1), (t2, v2))) in got.iter().zip(expect).enumerate() {
+                assert_eq!(t1.to_bits(), t2.to_bits(), "{policy}: `{name}` sample {k} time");
+                assert_eq!(v1.to_bits(), v2.to_bits(), "{policy}: `{name}` sample {k} value");
+            }
+        }
+        let emitted: Vec<Emission> = received
+            .lock()
+            .expect("log")
+            .iter()
+            .map(|m| (ball, "game".to_owned(), m.clone()))
+            .collect();
+        assert_eq!(emitted, expect_emitted, "{policy}: the same emission sequence");
     }
 }

@@ -84,7 +84,8 @@ fn every_fig2_ensemble_instance_is_bit_identical_to_a_standalone_run() {
         let (model, registry) = fig2_model();
         let compiled = compile(&model, registry).expect("fig2 compiles");
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 4, config(policy)).expect("ensemble");
+            EnsembleEngine::from_variants(&compiled, &vec![VariantSpec::new(); 4], config(policy))
+                .expect("ensemble");
         let erec = Recorder::new();
         ensemble.set_recorder(erec.clone());
         ensemble.run_until(T_END).expect("ensemble run");
@@ -293,7 +294,8 @@ fn k1_cross_group_ensemble_replays_the_hybrid_engine() {
         let compiled = compile(&model, registry).expect("cross-group compiles");
         assert_eq!(compiled.cross_flow_count(), 1, "one lowered channel");
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 1, config(policy)).expect("ensemble");
+            EnsembleEngine::from_variants(&compiled, &vec![VariantSpec::new(); 1], config(policy))
+                .expect("ensemble");
         let erec = Recorder::new();
         ensemble.set_recorder(erec.clone());
         ensemble.run_until(T_END).expect("ensemble run");
@@ -319,7 +321,8 @@ fn threaded_cross_group_ensemble_matches_local_and_keeps_the_channel_delay() {
         let (model, registry) = cross_group_model();
         let compiled = compile(&model, registry).expect("cross-group compiles");
         let mut ensemble =
-            EnsembleEngine::from_compiled(&compiled, 5, config(policy)).expect("ensemble");
+            EnsembleEngine::from_variants(&compiled, &vec![VariantSpec::new(); 5], config(policy))
+                .expect("ensemble");
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
         ensemble.run_until(T_END).expect("ensemble run");

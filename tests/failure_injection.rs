@@ -3,6 +3,7 @@
 //! corruption.
 
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::ensemble::EnsembleEngine;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
@@ -66,6 +67,33 @@ fn diverging_solver_errors_across_threads() {
     engine.add_group(exploding_network()).expect("group");
     let err = engine.run_until(2.0).expect_err("finite escape must error");
     assert!(matches!(err, CoreError::Flow(_) | CoreError::ThreadLost { .. }));
+}
+
+#[test]
+fn failed_runs_stop_the_clock_at_the_same_step_under_both_policies() {
+    // After a failure the clock stands at the last macro step every group
+    // completed: the threaded schedule must not tick the rest of its
+    // batch. One instance and a four-instance ensemble alike.
+    let config = |policy| EngineConfig { step: 0.01, policy };
+    let single = |policy| {
+        let mut engine = HybridEngine::new(idle_controller(), config(policy));
+        engine.add_group(exploding_network()).expect("group");
+        engine.run_until(2.0).expect_err("finite escape must error");
+        (engine.time(), engine.step_count())
+    };
+    let ensemble = |policy| {
+        let mut engine = EnsembleEngine::from_network(&exploding_network(), 4, &[], config(policy))
+            .expect("ensemble");
+        engine.run_until(2.0).expect_err("finite escape must error");
+        (engine.time(), engine.step_count())
+    };
+    for (k, stop) in [(1, &single as &dyn Fn(ThreadPolicy) -> (f64, u64)), (4, &ensemble)] {
+        let (t_local, n_local) = stop(ThreadPolicy::CurrentThread);
+        let (t_threaded, n_threaded) = stop(ThreadPolicy::DedicatedThreads);
+        assert!(t_local < 1.5, "K={k}: stopped near the blow-up, not at t_end");
+        assert_eq!(n_threaded, n_local, "K={k}: same step count after the failure");
+        assert_eq!(t_threaded.to_bits(), t_local.to_bits(), "K={k}: same time after the failure");
+    }
 }
 
 #[test]
