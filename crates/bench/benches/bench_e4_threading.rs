@@ -3,16 +3,15 @@
 //!
 //! Runs on the in-tree [`urt_bench::timer`] harness.
 
+use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
+use urt_core::model::ModelBuilder;
 use urt_core::threading::{GroupingPolicy, ThreadPolicy};
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
 use urt_dataflow::streamer::OdeStreamer;
 use urt_ode::solver::SolverKind;
 use urt_ode::system::InputSystem;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::StateMachineBuilder;
+use urt_umlrt::statemachine::SmSpec;
 
 #[derive(Clone)]
 
@@ -38,38 +37,24 @@ const POLICIES: [(&str, GroupingPolicy, ThreadPolicy); 4] = [
     ("per-streamer", GroupingPolicy::PerStreamer, ThreadPolicy::DedicatedThreads),
 ];
 
-fn make_engine(n: usize, grouping: GroupingPolicy, policy: ThreadPolicy) -> HybridEngine {
-    let assignment = grouping.assign(n);
-    let n_groups = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    let mut nets: Vec<StreamerNetwork> =
-        (0..n_groups).map(|g| StreamerNetwork::new(format!("g{g}"))).collect();
-    for (i, &g) in assignment.iter().enumerate() {
-        nets[g]
-            .add_streamer(
-                OdeStreamer::new(
-                    format!("vdp{i}"),
-                    Vdp,
-                    SolverKind::Rk4.create(),
-                    &[2.0, 0.0],
-                    1e-4,
-                ),
-                &[],
-                &[("y", FlowType::vector(2))],
-            )
-            .expect("add");
+/// `n` Van der Pol streamers next to an idle capsule, each pinned to the
+/// solver thread `grouping` assigns it.
+fn make_model(n: usize, grouping: GroupingPolicy) -> CompiledSystem {
+    let mut b = ModelBuilder::new("e4");
+    let idle = b.capsule("idle");
+    b.capsule_machine(idle, SmSpec::new("idle").state("s").initial("s"));
+    let mut registry = BehaviorRegistry::new();
+    for (i, &g) in grouping.assign(n).iter().enumerate() {
+        let name = format!("vdp{i}");
+        let s = b.streamer(&name, "rk4");
+        b.streamer_out(s, "y", FlowType::vector(2));
+        b.streamer_feedthrough(s, false);
+        b.assign_thread(s, g);
+        registry = registry.streamer(name.clone(), move || {
+            Box::new(OdeStreamer::new(&name, Vdp, SolverKind::Rk4.create(), &[2.0, 0.0], 1e-4))
+        });
     }
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut e = HybridEngine::new(controller, EngineConfig { step: 1e-3, policy });
-    for net in nets {
-        e.add_group(net).expect("group");
-    }
-    e
+    urt_analysis::compile(&b.build(), registry).expect("e4 model compiles")
 }
 
 fn main() {
@@ -78,10 +63,12 @@ fn main() {
     println!("{}", report_header());
     for n in [4usize, 16] {
         for (label, grouping, policy) in POLICIES {
+            let compiled = make_model(n, grouping);
+            let config = EngineConfig { step: 1e-3, policy };
             let report = bench_batched(
                 &format!("e4_threading/{label}/{n}"),
                 10,
-                || make_engine(n, grouping, policy),
+                || HybridEngine::from_compiled(&compiled, config).expect("engine"),
                 |mut e| e.run_until(0.1).expect("run"),
             );
             println!("{report}");

@@ -3,16 +3,15 @@
 //!
 //! Runs on the in-tree [`urt_bench::timer`] harness.
 
+use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
+use urt_core::model::ModelBuilder;
 use urt_core::threading::ThreadPolicy;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
 use urt_dataflow::streamer::OdeStreamer;
 use urt_ode::solver::SolverKind;
 use urt_ode::system::InputSystem;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::StateMachineBuilder;
+use urt_umlrt::statemachine::SmSpec;
 
 #[derive(Clone)]
 
@@ -30,27 +29,23 @@ impl InputSystem for Lag {
     }
 }
 
-fn engine() -> HybridEngine {
-    let mut net = StreamerNetwork::new("plant");
-    net.add_streamer(
-        OdeStreamer::new("lag", Lag, SolverKind::Rk4.create(), &[0.0], 1e-4),
-        &[],
-        &[("y", FlowType::scalar())],
-    )
-    .expect("add");
-    let sm = StateMachineBuilder::new("sup")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut e = HybridEngine::new(
-        controller,
-        EngineConfig { step: 1e-3, policy: ThreadPolicy::CurrentThread },
-    );
-    e.add_group(net).expect("group");
-    e
+/// A supervisor capsule next to one RK4 lag plant.
+fn model() -> CompiledSystem {
+    let mut b = ModelBuilder::new("fig3");
+    let sup = b.capsule("sup");
+    b.capsule_machine(sup, SmSpec::new("sup").state("s").initial("s"));
+    let lag = b.streamer("lag", "rk4");
+    b.streamer_out(lag, "y", FlowType::scalar());
+    b.streamer_feedthrough(lag, false);
+    let registry = BehaviorRegistry::new().streamer("lag", || {
+        Box::new(OdeStreamer::new("lag", Lag, SolverKind::Rk4.create(), &[0.0], 1e-4))
+    });
+    urt_analysis::compile(&b.build(), registry).expect("fig3 model compiles")
+}
+
+fn engine(compiled: &CompiledSystem) -> HybridEngine {
+    let config = EngineConfig { step: 1e-3, policy: ThreadPolicy::CurrentThread };
+    HybridEngine::from_compiled(compiled, config).expect("engine")
 }
 
 fn main() {
@@ -59,14 +54,20 @@ fn main() {
 
     println!("{}", report_header());
 
-    let mut e = engine();
+    let compiled = model();
+    let mut e = engine(&compiled);
     let report = bench("fig3_hybrid/engine_macro_step", 5_000, || {
         black_box(&mut e).step_once().expect("step");
     });
     println!("{report}");
 
-    let report = bench_batched("fig3_hybrid/engine_run_10ms", 100, engine, |mut e| {
-        e.run_until(0.01).expect("run");
-    });
+    let report = bench_batched(
+        "fig3_hybrid/engine_run_10ms",
+        100,
+        || engine(&compiled),
+        |mut e| {
+            e.run_until(0.01).expect("run");
+        },
+    );
     println!("{report}");
 }

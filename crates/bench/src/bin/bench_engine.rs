@@ -10,14 +10,10 @@
 //!   cross-group double-buffered channels (measures the inter-group
 //!   dataflow the dedicated-threads policy exists for).
 //!
-//! Each configuration is measured along both construction paths:
-//!
-//! * `wired` — the engine assembled by hand (`add_group`/`add_probe`,
-//!   plus `export_input`/`link_flow` for the chain's channels);
-//! * `compiled` — the same system declared as a `UnifiedModel` and
-//!   lowered through `model → analyze → compile → run`.
-//!
-//! And, under `dedicated-threads`, along a `batch` axis:
+//! Every engine is built model-first: the system is declared as a
+//! `UnifiedModel` and lowered through `model → analyze → compile → run`.
+//! Under `dedicated-threads` each configuration is also measured along a
+//! `batch` axis:
 //!
 //! * `k1` — `set_max_batch(1)`, one worker rendezvous per macro step
 //!   (the pre-batching schedule);
@@ -25,11 +21,12 @@
 //!   signal exchange or coordinator-side work.
 //!
 //! A second, independent axis measures **ensemble execution**: `K`
-//! instances of one workload (`fig2`, `chain`) advanced per macro step,
-//! either as one structure-of-arrays [`EnsembleEngine`]
-//! (`mode = ensemble`) or as `K` single-instance engines stepped
-//! back-to-back (`mode = independent` — the same per-step code path with
-//! no amortization, so the delta is exactly what the SoA layout buys).
+//! instances of one compiled workload (`fig2`, `chain`) advanced per
+//! macro step, either as one structure-of-arrays [`EnsembleEngine`]
+//! built by `from_variants` (`mode = ensemble`) or as `K` one-instance
+//! engines stepped back-to-back (`mode = independent` — the same
+//! per-step code path with no amortization, so the delta is exactly what
+//! the SoA layout buys).
 //! `K ∈ {1, 8}` in smoke mode, `{1, 8, 64, 256}` in full runs.
 //!
 //! Nested under the ensemble axis, a **kernel** axis isolates what the
@@ -38,10 +35,10 @@
 //! `kernel = scalar` ([`EnsembleKernel::PerLane`]) and once with
 //! `kernel = batched` (the default), over `K ∈ {16, 64, 256}` (`{16,
 //! 64}` in smoke). The workloads here must actually carry ODE lanes, so
-//! `fig2` on this axis is the ODE-backed variant ([`fig2_ode_network`]:
+//! `fig2` on this axis is the ODE-backed variant ([`fig2_ode_model`]:
 //! `sub1` integrates the oscillator with RK4 rather than evaluating
 //! `sin(2t)` in closed form) and `chain` is the usual Van der Pol-fed
-//! pipeline. Both kernels produce bit-identical series — the equivalence
+//! pipeline ([`chain_model`]). Both kernels produce bit-identical series — the equivalence
 //! suites pin that — so the delta is pure execution efficiency. Full
 //! runs self-assert batched ≥ [`KERNEL_MARGIN`] × scalar at K = 256;
 //! smoke runs assert batched is at least not slower at K = 64 (with the
@@ -88,23 +85,20 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use urt_bench::{chain_network_tail, fig2_network, fig2_ode_network};
-use urt_core::elaborate::BehaviorRegistry;
+use urt_bench::{chain_model, fig2_ode_model};
+use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
-use urt_core::ensemble::{EnsembleEngine, EnsembleKernel};
-use urt_core::model::ModelBuilder;
+use urt_core::ensemble::{EnsembleEngine, EnsembleKernel, VariantSpec};
+use urt_core::model::{ModelBuilder, UnifiedModel};
 use urt_core::recorder::Recorder;
 use urt_core::threading::ThreadPolicy;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::{NodeId, StreamerNetwork};
 use urt_dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use urt_ode::solver::SolverKind;
 use urt_ode::system::library::VanDerPol;
 use urt_ode::system::OdeSystem;
 use urt_ode::SolveError;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::{SmSpec, StateMachineBuilder};
+use urt_umlrt::statemachine::SmSpec;
 
 const STEP: f64 = 1e-3;
 const CHAIN_STAGES: usize = 8;
@@ -235,35 +229,15 @@ impl Workload {
         }
     }
 
-    /// Builds one group's hand-wired network (fig2/vdp: every group is an
-    /// identical copy; the chain workload wires whole engines instead —
-    /// see [`chain_wired`]).
-    fn network(self, group: usize) -> (StreamerNetwork, urt_dataflow::graph::NodeId) {
-        match self {
-            Workload::Fig2 => {
-                let (net, [_, _, sub2, _]) = fig2_network();
-                (net, sub2)
-            }
-            Workload::Vdp => {
-                let mut net = StreamerNetwork::new(format!("vdp-g{group}"));
-                let node = net
-                    .add_streamer(vdp_streamer("vdp"), &[], &[("y", FlowType::vector(2))])
-                    .expect("add vdp streamer");
-                (net, node)
-            }
-            Workload::Chain => unreachable!("chain builds whole engines"),
-        }
-    }
-
     /// Declares the whole multi-group system as one `UnifiedModel` plus
     /// its behaviour registry. Streamer names carry a `-g{i}` suffix
     /// (model names are global) and each group is pinned to its own
     /// solver thread. fig2/vdp have no inter-group flows; the chain's
     /// flows span the thread assignment and elaboration lowers them into
     /// cross-group channels.
-    fn model(self, groups: usize) -> (urt_core::model::UnifiedModel, BehaviorRegistry) {
+    fn model(self, groups: usize) -> (UnifiedModel, BehaviorRegistry) {
         if self == Workload::Chain {
-            return chain_model(groups);
+            return chain_pipeline_model(groups);
         }
         let mut b = ModelBuilder::new(format!("{}-bench", self.name()));
         let idle = b.capsule("idle");
@@ -334,7 +308,7 @@ impl Workload {
 
 /// The chain pipeline as a declarative model: N stages, flows spanning
 /// the thread assignment (lowered into channels by elaboration).
-fn chain_model(groups: usize) -> (urt_core::model::UnifiedModel, BehaviorRegistry) {
+fn chain_pipeline_model(groups: usize) -> (UnifiedModel, BehaviorRegistry) {
     let mut b = ModelBuilder::new("chain-bench");
     let idle = b.capsule("idle");
     b.capsule_machine(idle, SmSpec::new("idle").state("s").initial("s"));
@@ -363,89 +337,14 @@ fn chain_model(groups: usize) -> (urt_core::model::UnifiedModel, BehaviorRegistr
     (b.build(), registry)
 }
 
-/// Hand-wires the chain pipeline: block-partitions the stages into
-/// `groups` networks, keeps intra-block flows in-network, and links the
-/// block boundaries through `export_input` + `link_flow` channels.
-fn chain_wired(engine: &mut HybridEngine, groups: usize) {
-    let mut nets: Vec<StreamerNetwork> =
-        (0..groups).map(|g| StreamerNetwork::new(format!("chain-g{g}"))).collect();
-    let mut loc = Vec::new();
-    for i in 0..CHAIN_STAGES {
-        let g = chain_group_of(i, groups);
-        let node = if i == 0 {
-            nets[g].add_streamer_boxed(chain_stage(i), &[], &[("y", FlowType::scalar())])
-        } else {
-            nets[g].add_streamer_boxed(
-                chain_stage(i),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-        }
-        .expect("chain stage");
-        loc.push((g, node));
-    }
-    for i in 1..CHAIN_STAGES {
-        let (gp, np) = loc[i - 1];
-        let (gc, nc) = loc[i];
-        if gp == gc {
-            nets[gc].flow((np, "y"), (nc, "u")).expect("intra-group flow");
-        } else {
-            nets[gc].export_input(nc, "u").expect("export channel input");
-        }
-    }
-    let gids: Vec<usize> = nets.into_iter().map(|n| engine.add_group(n).expect("group")).collect();
-    for i in 1..CHAIN_STAGES {
-        let (gp, np) = loc[i - 1];
-        let (gc, nc) = loc[i];
-        if gp != gc {
-            engine.link_flow((gids[gp], np, "y"), (gids[gc], nc, "u")).expect("channel");
-        }
-    }
-    let (gl, nl) = loc[CHAIN_STAGES - 1];
-    engine.add_probe(gids[gl], nl, "y", "y0").expect("probe");
-}
-
 struct Measurement {
     workload: &'static str,
-    path: &'static str,
     groups: usize,
     policy: ThreadPolicy,
     batch: &'static str,
     steps: u64,
     wall_ns: u128,
     steps_per_sec: f64,
-}
-
-fn idle_controller() -> Controller {
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("idle machine");
-    let mut c = Controller::new("events");
-    c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    c
-}
-
-/// Assembles the engine by hand — the pre-elaboration construction path.
-fn wired_engine(
-    workload: Workload,
-    groups: usize,
-    policy: ThreadPolicy,
-) -> (HybridEngine, Recorder) {
-    let mut engine = HybridEngine::new(idle_controller(), EngineConfig { step: STEP, policy });
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    if workload == Workload::Chain {
-        chain_wired(&mut engine, groups);
-    } else {
-        for gi in 0..groups {
-            let (net, node) = workload.network(gi);
-            let g = engine.add_group(net).expect("group");
-            engine.add_probe(g, node, "y", &format!("y{gi}")).expect("probe");
-        }
-    }
-    (engine, rec)
 }
 
 /// Assembles the engine through the elaboration pipeline.
@@ -466,17 +365,13 @@ fn compiled_engine(
 
 fn measure(
     workload: Workload,
-    path: &'static str,
     groups: usize,
     policy: ThreadPolicy,
     batch: &'static str,
     steps: u64,
     smoke: bool,
 ) -> Measurement {
-    let (mut engine, rec) = match path {
-        "wired" => wired_engine(workload, groups, policy),
-        _ => compiled_engine(workload, groups, policy),
-    };
+    let (mut engine, rec) = compiled_engine(workload, groups, policy);
     if batch == "k1" {
         engine.set_max_batch(1);
     }
@@ -510,7 +405,6 @@ fn measure(
     let steps_per_sec = rep_steps as f64 / (wall_ns as f64 / 1e9);
     Measurement {
         workload: workload.name(),
-        path,
         groups,
         policy,
         batch,
@@ -585,8 +479,8 @@ fn measure_paced(
     }
 }
 
-/// Workloads for the ensemble axis: raw networks (no controller, no
-/// channels) so the measurement isolates per-instance routing overhead.
+/// Workloads for the ensemble axis: single-group models without links or
+/// channels, so the measurement isolates per-instance routing overhead.
 #[derive(Clone, Copy)]
 enum EnsembleWorkload {
     Fig2,
@@ -601,15 +495,13 @@ impl EnsembleWorkload {
         }
     }
 
-    /// The network plus the node whose `y` output gets the probe.
-    fn network(self) -> (StreamerNetwork, NodeId) {
-        match self {
-            EnsembleWorkload::Fig2 => {
-                let (net, [_, _, sub2, _]) = fig2_network();
-                (net, sub2)
-            }
-            EnsembleWorkload::Chain => chain_network_tail(CHAIN_STAGES),
-        }
+    /// The workload compiled, with its `y0` probe.
+    fn compiled(self) -> CompiledSystem {
+        let (model, registry) = match self {
+            EnsembleWorkload::Fig2 => Workload::Fig2.model(1),
+            EnsembleWorkload::Chain => chain_model(CHAIN_STAGES),
+        };
+        urt_analysis::compile(&model, registry).expect("ensemble workload compiles")
     }
 }
 
@@ -622,6 +514,16 @@ struct EnsembleMeasurement {
     steps_per_sec: f64,
 }
 
+/// A `k`-instance engine over `compiled`, recording every instance.
+fn variants_engine(compiled: &CompiledSystem, k: usize) -> (EnsembleEngine, Recorder) {
+    let config = EngineConfig { step: STEP, policy: ThreadPolicy::CurrentThread };
+    let mut engine = EnsembleEngine::from_variants(compiled, &vec![VariantSpec::new(); k], config)
+        .expect("ensemble engine");
+    let rec = Recorder::new();
+    engine.set_recorder(rec.clone());
+    (engine, rec)
+}
+
 /// One K-instance SoA engine (`mode = "ensemble"`), or K single-instance
 /// engines (`mode = "independent"`) — the unamortized control.
 fn ensemble_engines(
@@ -629,23 +531,11 @@ fn ensemble_engines(
     mode: &str,
     k: usize,
 ) -> Vec<(EnsembleEngine, Recorder)> {
-    let build = |instances: usize| {
-        let (net, tail) = workload.network();
-        let mut engine = EnsembleEngine::from_network(
-            &net,
-            instances,
-            &[(tail, "y", "y0")],
-            EngineConfig { step: STEP, policy: ThreadPolicy::CurrentThread },
-        )
-        .expect("ensemble engine");
-        let rec = Recorder::new();
-        engine.set_recorder(rec.clone());
-        (engine, rec)
-    };
+    let compiled = workload.compiled();
     if mode == "ensemble" {
-        vec![build(k)]
+        vec![variants_engine(&compiled, k)]
     } else {
-        (0..k).map(|_| build(1)).collect()
+        (0..k).map(|_| variants_engine(&compiled, 1)).collect()
     }
 }
 
@@ -720,15 +610,13 @@ impl KernelWorkload {
         }
     }
 
-    /// The network plus the node whose `y` output gets the probe.
-    fn network(self) -> (StreamerNetwork, NodeId) {
-        match self {
-            KernelWorkload::Fig2 => {
-                let (net, [_, _, sub2, _]) = fig2_ode_network();
-                (net, sub2)
-            }
-            KernelWorkload::Chain => chain_network_tail(CHAIN_STAGES),
-        }
+    /// The workload compiled, with its `y0` probe.
+    fn compiled(self) -> CompiledSystem {
+        let (model, registry) = match self {
+            KernelWorkload::Fig2 => fig2_ode_model(),
+            KernelWorkload::Chain => chain_model(CHAIN_STAGES),
+        };
+        urt_analysis::compile(&model, registry).expect("kernel workload compiles")
     }
 }
 
@@ -761,17 +649,8 @@ fn measure_kernel(
     steps: u64,
     smoke: bool,
 ) -> KernelMeasurement {
-    let (net, tail) = workload.network();
-    let mut engine = EnsembleEngine::from_network(
-        &net,
-        k,
-        &[(tail, "y", "y0")],
-        EngineConfig { step: STEP, policy: ThreadPolicy::CurrentThread },
-    )
-    .expect("kernel-axis ensemble engine");
+    let (mut engine, rec) = variants_engine(&workload.compiled(), k);
     engine.set_kernel(kernel);
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
     let warmup = (steps / 10).max(10);
     engine.run_until(warmup as f64 * STEP).expect("warm-up");
     let t0 = engine.time();
@@ -868,7 +747,7 @@ fn render_json(
     smoke: bool,
 ) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"schema\":\"bench_engine/v7\",\"smoke\":{smoke},\"step_s\":{STEP}");
+    let _ = write!(s, "{{\"schema\":\"bench_engine/v8\",\"smoke\":{smoke},\"step_s\":{STEP}");
     let _ = write!(s, ",\"results\":[");
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -876,9 +755,9 @@ fn render_json(
         }
         let _ = write!(
             s,
-            "{{\"workload\":\"{}\",\"path\":\"{}\",\"groups\":{},\"policy\":\"{}\",\
-             \"batch\":\"{}\",\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
-            m.workload, m.path, m.groups, m.policy, m.batch, m.steps, m.wall_ns, m.steps_per_sec
+            "{{\"workload\":\"{}\",\"groups\":{},\"policy\":\"{}\",\"batch\":\"{}\",\
+             \"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
+            m.workload, m.groups, m.policy, m.batch, m.steps, m.wall_ns, m.steps_per_sec
         );
     }
     s.push_str("],\"ensemble\":[");
@@ -963,10 +842,8 @@ fn render_json(
 /// streamer. The table's own fallback for unlisted solvers is twice the
 /// dearest measured solver — unknown means pessimistic, never free.
 fn emit_cost_table(path: &str) {
-    let fig2 =
-        measure(Workload::Fig2, "compiled", 1, ThreadPolicy::CurrentThread, "n/a", 20_000, false);
-    let vdp =
-        measure(Workload::Vdp, "compiled", 1, ThreadPolicy::CurrentThread, "n/a", 4_000, false);
+    let fig2 = measure(Workload::Fig2, 1, ThreadPolicy::CurrentThread, "n/a", 20_000, false);
+    let vdp = measure(Workload::Vdp, 1, ThreadPolicy::CurrentThread, "n/a", 4_000, false);
     let euler_ns = 1e9 / fig2.steps_per_sec / 3.0;
     let rk4_ns = 1e9 / vdp.steps_per_sec;
     let default_ns = 2.0 * euler_ns.max(rk4_ns);
@@ -1024,27 +901,23 @@ fn main() {
             (Workload::Fig2 | Workload::Chain, false) => 20_000,
         };
         for groups in [1usize, 2, 4] {
-            for path in ["wired", "compiled"] {
+            results.push(measure(
+                workload,
+                groups,
+                ThreadPolicy::CurrentThread,
+                "n/a",
+                steps,
+                smoke,
+            ));
+            for batch in ["k1", "auto"] {
                 results.push(measure(
                     workload,
-                    path,
                     groups,
-                    ThreadPolicy::CurrentThread,
-                    "n/a",
+                    ThreadPolicy::DedicatedThreads,
+                    batch,
                     steps,
                     smoke,
                 ));
-                for batch in ["k1", "auto"] {
-                    results.push(measure(
-                        workload,
-                        path,
-                        groups,
-                        ThreadPolicy::DedicatedThreads,
-                        batch,
-                        steps,
-                        smoke,
-                    ));
-                }
             }
         }
     }
@@ -1205,12 +1078,12 @@ fn main() {
     std::fs::write(&path, format!("{json}\n")).expect("write benchmark JSON");
     println!("engine steady-state baseline (macro step = {STEP} s)");
     println!();
-    println!("| workload | path | groups | policy | batch | steps | steps/sec |");
-    println!("|----------|------|--------|--------|-------|-------|-----------|");
+    println!("| workload | groups | policy | batch | steps | steps/sec |");
+    println!("|----------|--------|--------|-------|-------|-----------|");
     for m in &results {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {:.0} |",
-            m.workload, m.path, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
+            "| {} | {} | {} | {} | {} | {:.0} |",
+            m.workload, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
         );
     }
     println!();

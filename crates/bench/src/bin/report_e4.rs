@@ -5,16 +5,15 @@
 //! Run with: `cargo run --release -p urt-bench --bin report_e4`
 
 use std::time::Instant;
+use urt_core::elaborate::BehaviorRegistry;
 use urt_core::engine::{EngineConfig, HybridEngine};
+use urt_core::model::ModelBuilder;
 use urt_core::threading::{GroupingPolicy, ThreadPolicy};
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
 use urt_dataflow::streamer::OdeStreamer;
 use urt_ode::solver::SolverKind;
 use urt_ode::system::InputSystem;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::StateMachineBuilder;
+use urt_umlrt::statemachine::SmSpec;
 
 #[derive(Clone)]
 
@@ -36,36 +35,29 @@ impl InputSystem for Vdp {
 }
 
 fn run(n_streamers: usize, grouping: GroupingPolicy, policy: ThreadPolicy) -> f64 {
-    let assignment = grouping.assign(n_streamers);
-    let n_groups = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    let mut nets: Vec<StreamerNetwork> =
-        (0..n_groups).map(|g| StreamerNetwork::new(format!("g{g}"))).collect();
-    for (i, &g) in assignment.iter().enumerate() {
-        nets[g]
-            .add_streamer(
-                OdeStreamer::new(
-                    format!("vdp{i}"),
-                    Vdp { mu: 1.5 },
-                    SolverKind::Rk4.create(),
-                    &[2.0, 0.0],
-                    2e-6, // 500 substeps per macro step: real equation work
-                ),
-                &[],
-                &[("y", FlowType::vector(2))],
-            )
-            .expect("add streamer");
+    let mut b = ModelBuilder::new("e4");
+    let idle = b.capsule("idle");
+    b.capsule_machine(idle, SmSpec::new("idle").state("s").initial("s"));
+    let mut registry = BehaviorRegistry::new();
+    for (i, &g) in grouping.assign(n_streamers).iter().enumerate() {
+        let name = format!("vdp{i}");
+        let s = b.streamer(&name, "rk4");
+        b.streamer_out(s, "y", FlowType::vector(2));
+        b.streamer_feedthrough(s, false);
+        b.assign_thread(s, g);
+        registry = registry.streamer(name.clone(), move || {
+            Box::new(OdeStreamer::new(
+                &name,
+                Vdp { mu: 1.5 },
+                SolverKind::Rk4.create(),
+                &[2.0, 0.0],
+                2e-6, // 500 substeps per macro step: real equation work
+            ))
+        });
     }
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 1e-3, policy });
-    for net in nets {
-        engine.add_group(net).expect("group");
-    }
+    let compiled = urt_analysis::compile(&b.build(), registry).expect("e4 model compiles");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 1e-3, policy })
+        .expect("engine");
     let start = Instant::now();
     engine.run_until(0.25).expect("run");
     start.elapsed().as_secs_f64() * 1e3 * 4.0

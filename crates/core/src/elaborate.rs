@@ -3,12 +3,12 @@
 //! artifact into live [`SystemInstance`]s.
 //!
 //! The paper's point is *one* model covering both the event-driven and
-//! the time-continuous half. This module closes the gap between the
-//! declarative model (what `urt-lint` and codegen consume) and the
-//! hand-wired runtime (`HybridEngine` + `StreamerNetwork` +
-//! `Controller`): [`elaborate`] resolves every name, port, flow, SPort
-//! link and probe **once**, at compile time, into dense integer ids, so
-//! the engine's hot path never compares strings or hashes keys.
+//! the time-continuous half. This module is the only road from the
+//! declarative model (what `urt-lint` and codegen consume) to the runtime
+//! (`HybridEngine` over `StreamerNetwork`s and a `Controller`):
+//! [`elaborate`] resolves every name, port, flow, SPort link and probe
+//! **once**, at compile time, into dense integer ids, so the engine's hot
+//! path never compares strings or hashes keys.
 //!
 //! Since the artifact/instance split, elaboration output is a **pure
 //! plan**: lowered per-group topology tables, cross-flow specs, resolved
@@ -42,13 +42,16 @@
 //!    elaboration performs one validation instantiation, cross-checking
 //!    every behaviour against the declared DPort widths and feedthrough
 //!    flag, so a successfully elaborated artifact instantiates cleanly;
-//! 5. SPort links and probes are resolved to `(group, node)` pairs, with
-//!    the same duplicate-link rule the engine enforces
+//! 5. SPort links and probes are resolved to `(group, node)` pairs; a
+//!    second link for the same `(group, node, sport)` is refused
 //!    ([`CoreError::DuplicateSportLink`]).
 //!
 //! The result plugs into the engine via
-//! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled),
-//! which borrows the artifact and instantiates it.
+//! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
+//! or
+//! [`HybridEngine::from_variants`](crate::engine::HybridEngine::from_variants),
+//! which borrow the artifact, instantiate it and consume the instance's
+//! networks into their step plans — the only ways to build an engine.
 
 use crate::error::CoreError;
 use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
@@ -167,7 +170,7 @@ pub(crate) struct CompiledProbe {
 /// feeding consumer input `(group, node, port)` in a *different* solver
 /// group, carried by a double-buffered channel with a deterministic
 /// one-macro-step delay (the consumer reads the producer's previous
-/// step's sample; see `HybridEngine::link_flow`).
+/// step's sample).
 #[derive(Debug, Clone)]
 pub(crate) struct CrossGroupFlow {
     pub(crate) from_group: usize,
@@ -432,9 +435,7 @@ impl CompiledSystem {
 /// behaviours wired into per-group [`StreamerNetwork`]s plus an
 /// instantiated capsule [`Controller`]. Produced by
 /// [`CompiledSystem::instantiate`]; consumed by
-/// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
-/// — or taken apart with [`SystemInstance::into_parts`] for hand
-/// deployment.
+/// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled).
 pub struct SystemInstance {
     pub(crate) groups: Vec<StreamerNetwork>,
     pub(crate) controller: Controller,
@@ -449,12 +450,6 @@ impl SystemInstance {
     /// Read access to the instantiated controller.
     pub fn controller(&self) -> &Controller {
         &self.controller
-    }
-
-    /// Decomposes the instance into its solver networks (in group order)
-    /// and controller, for manual engine assembly.
-    pub fn into_parts(self) -> (Vec<StreamerNetwork>, Controller) {
-        (self.groups, self.controller)
     }
 }
 

@@ -35,8 +35,7 @@ use urt_ode::OdeSystem;
 use crate::engine::HybridEngine;
 
 /// The ensemble API's name for the one engine: a `K`-instance
-/// [`HybridEngine`], built by
-/// [`HybridEngine::from_variants`] or [`HybridEngine::from_network`].
+/// [`HybridEngine`], built by [`HybridEngine::from_variants`].
 ///
 /// # Examples
 ///
@@ -339,7 +338,7 @@ mod tests {
     use super::*;
     use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
     use crate::engine::{EngineConfig, HybridEngine};
-    use crate::model::{ModelBuilder, UnifiedModel};
+    use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
     use crate::recorder::Recorder;
     use crate::threading::ThreadPolicy;
     use crate::time::SimClock;
@@ -477,9 +476,7 @@ mod tests {
     fn factory_replication_outlives_clone_fresh() {
         // A behaviour without a clone_fresh override cannot be *cloned*
         // — but the compiled path replicates by re-invoking the registry
-        // factory, so the ensemble builds and runs anyway. Only the
-        // network-first path (no registry in sight) still depends on
-        // clone_fresh, and refuses.
+        // factory, so the ensemble builds and runs anyway.
         struct Opaque;
         impl StreamerBehavior for Opaque {
             fn name(&self) -> &str {
@@ -522,12 +519,6 @@ mod tests {
             let series = rec.series(&EnsembleEngine::series_name("out", i));
             assert!(!series.is_empty(), "instance {i} produced no samples");
         }
-
-        // Network-first path: clone_fresh is the only replication source.
-        let mut net = StreamerNetwork::new("raw");
-        net.add_streamer(Opaque, &[], &[("y", FlowType::scalar())]).unwrap();
-        let err = EnsembleEngine::from_network(&net, 2, &[], EngineConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("cannot be replicated"), "{err}");
     }
 
     #[test]
@@ -538,9 +529,8 @@ mod tests {
         assert!(matches!(err, CoreError::InvalidStep { .. }), "{err}");
         assert!(err.to_string().starts_with("URT116: "), "{err}");
 
-        let net = StreamerNetwork::new("raw");
         let bad = EngineConfig { step: f64::NAN, policy: ThreadPolicy::CurrentThread };
-        let err = EnsembleEngine::from_network(&net, 1, &[], bad).unwrap_err();
+        let err = EnsembleEngine::from_variants(&compiled, &replicas(1), bad).unwrap_err();
         assert!(matches!(err, CoreError::InvalidStep { .. }), "{err}");
     }
 
@@ -582,50 +572,55 @@ mod tests {
     }
 
     #[test]
-    fn from_network_replays_a_relay_topology_bitwise() {
-        // A raw network with a relay node (which elaborate never emits):
-        // source -> relay(2) -> two sinks. All instances of the ensemble
-        // must be bit-identical to stepping the network directly.
+    fn variants_replay_a_relay_topology_bitwise() {
+        // A capsule relay DPort fanning one source out to two sinks
+        // (Figure 3): elaboration lowers the relay to two flows. Every
+        // instance of the ensemble must stay bit-identical to stepping the
+        // dataflow layer's relay network (source -> relay(2) -> two
+        // sinks) directly.
+        let src = || {
+            FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                y[0] = (2.0 * t).sin()
+            })
+        };
+        let dbl =
+            || FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0]);
+        let sq =
+            || FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0]);
         let build = || {
             let mut net = StreamerNetwork::new("fig2ish");
-            let src = net
-                .add_streamer(
-                    FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                        y[0] = (2.0 * t).sin()
-                    }),
-                    &[],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
+            let s = net.add_streamer(src(), &[], &[("y", FlowType::scalar())]).unwrap();
             let relay = net.add_relay("relay", FlowType::scalar(), 2).unwrap();
-            let dbl = net
-                .add_streamer(
-                    FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                        y[0] = 2.0 * u[0]
-                    }),
-                    &[("u", FlowType::scalar())],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            let sq = net
-                .add_streamer(
-                    FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                        y[0] = u[0] * u[0]
-                    }),
-                    &[("u", FlowType::scalar())],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            net.flow((src, "y"), (relay, "in")).unwrap();
-            net.flow((relay, "out0"), (dbl, "u")).unwrap();
-            net.flow((relay, "out1"), (sq, "u")).unwrap();
-            (net, dbl, sq)
+            let scalar = || [("u", FlowType::scalar())];
+            let d = net.add_streamer(dbl(), &scalar(), &[("y", FlowType::scalar())]).unwrap();
+            let q = net.add_streamer(sq(), &scalar(), &[("y", FlowType::scalar())]).unwrap();
+            net.flow((s, "y"), (relay, "in")).unwrap();
+            net.flow((relay, "out0"), (d, "u")).unwrap();
+            net.flow((relay, "out1"), (q, "u")).unwrap();
+            (net, d, q)
         };
-        let (net, dbl, sq) = build();
-        let mut ensemble = EnsembleEngine::from_network(
-            &net,
-            3,
-            &[(dbl, "y", "dbl"), (sq, "y", "sq")],
+        let mut b = ModelBuilder::new("fig3ish");
+        let relay = b.capsule("relay");
+        b.capsule_dport(relay, "d", FlowType::scalar());
+        let (s, d, q) =
+            (b.streamer("src", "none"), b.streamer("dbl", "none"), b.streamer("sq", "none"));
+        b.streamer_out(s, "y", FlowType::scalar());
+        for sink in [d, q] {
+            b.streamer_in(sink, "u", FlowType::scalar());
+            b.streamer_out(sink, "y", FlowType::scalar());
+            b.flow(FlowEnd::Capsule(relay, "d".into()), FlowEnd::Streamer(sink, "u".into()));
+        }
+        b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Capsule(relay, "d".into()));
+        b.probe(d, "y", "dbl");
+        b.probe(q, "y", "sq");
+        let registry = BehaviorRegistry::new()
+            .streamer("src", move || Box::new(src()))
+            .streamer("dbl", move || Box::new(dbl()))
+            .streamer("sq", move || Box::new(sq()));
+        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let mut ensemble = EnsembleEngine::from_variants(
+            &compiled,
+            &replicas(3),
             EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
         )
         .unwrap();

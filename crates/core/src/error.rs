@@ -51,9 +51,8 @@ pub enum CoreError {
     },
     /// An engine configuration declared a macro step that is not a
     /// positive, finite number — refused before any engine state is
-    /// built. Raised by `HybridEngine::from_compiled` and the ensemble
-    /// constructors (the hand-wired `HybridEngine::new` keeps its
-    /// documented panic for API-misuse at the lowest layer).
+    /// built. Raised by `HybridEngine::from_compiled` and
+    /// `HybridEngine::from_variants`, the only engine constructors.
     InvalidStep {
         /// The offending step value.
         step: f64,

@@ -40,39 +40,34 @@
 //!
 //! # Examples
 //!
-//! A thermostat capsule supervising a thermal plant streamer:
+//! A supervisor capsule next to an oscillator streamer, declared as one
+//! model, compiled, and run:
 //!
 //! ```
+//! use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 //! use urt_core::engine::{EngineConfig, HybridEngine};
+//! use urt_core::model::ModelBuilder;
 //! use urt_core::threading::ThreadPolicy;
 //! use urt_dataflow::flowtype::FlowType;
-//! use urt_dataflow::graph::StreamerNetwork;
 //! use urt_dataflow::streamer::FnStreamer;
-//! use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-//! use urt_umlrt::controller::Controller;
-//! use urt_umlrt::statemachine::StateMachineBuilder;
+//! use urt_umlrt::statemachine::SmSpec;
 //!
 //! # fn main() -> Result<(), urt_core::CoreError> {
-//! let mut net = StreamerNetwork::new("plant");
-//! let p = net.add_streamer(
-//!     FnStreamer::new("osc", 0, 1, |t, _h, _u, y| y[0] = t.sin()),
-//!     &[],
-//!     &[("y", FlowType::scalar())],
-//! )?;
-//! let sm = StateMachineBuilder::new("supervisor")
-//!     .state("watching")
-//!     .initial("watching", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-//!     .build()?;
-//! let mut controller = Controller::new("events");
-//! controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-//! let mut engine = HybridEngine::new(
-//!     controller,
+//! let mut b = ModelBuilder::new("plant");
+//! let osc = b.streamer("osc", "none");
+//! b.streamer_out(osc, "y", FlowType::scalar());
+//! let supervisor = b.capsule("supervisor");
+//! b.capsule_machine(supervisor, SmSpec::new("supervisor").state("watching").initial("watching"));
+//! let registry = BehaviorRegistry::new().streamer("osc", || {
+//!     Box::new(FnStreamer::new("osc", 0, 1, |t, _h, _u, y| y[0] = t.sin()))
+//! });
+//! let compiled = elaborate(&b.build(), registry, &validate_gate)?;
+//! let mut engine = HybridEngine::from_compiled(
+//!     &compiled,
 //!     EngineConfig { step: 0.001, policy: ThreadPolicy::CurrentThread },
-//! );
-//! engine.add_group(net)?;
+//! )?;
 //! engine.run_until(0.1)?;
 //! assert!((engine.time() - 0.1).abs() < 1e-9);
-//! # let _ = p;
 //! # Ok(())
 //! # }
 //! ```

@@ -32,9 +32,12 @@ use std::time::{Duration, Instant};
 ///
 /// Production uses [`WallClock`]; deterministic tests inject scripted
 /// sources so miss accounting and lag folding are pinned exactly. The
-/// paced loop's call pattern is fixed — one `now_ns` when a cycle
-/// starts, one when it ends, one `sleep_ns` + one re-measuring `now_ns`
-/// when it pacing-waits — so a scripted source can drive every branch.
+/// paced loop's call pattern is fixed, so a scripted source can drive
+/// every branch: one `now_ns` for the run's origin, then per cycle one
+/// `now_ns` when it starts (B) and one when it ends (E); a cycle that
+/// finished ahead of its release point adds one `now_ns` before the wait
+/// (P1), the `sleep_ns`, and one re-measuring `now_ns` after it (P2) —
+/// B, E, P1, sleep, P2.
 pub trait TimeSource: Send {
     /// Nanoseconds since an arbitrary fixed origin; never decreases.
     fn now_ns(&mut self) -> u64;
@@ -565,6 +568,9 @@ pub(crate) struct PacedRunner {
     hist: LatencyHistogram,
     /// Pacing period per macro step, wall ns (`step / rate`).
     period_ns: u64,
+    /// Engine time when the run started: the schedule's origin, so a
+    /// resumed engine is paced from where it stands, not from zero.
+    t0: f64,
     steps: u64,
     samples: u64,
     consecutive: u64,
@@ -578,16 +584,22 @@ pub(crate) struct PacedRunner {
 }
 
 impl PacedRunner {
-    /// Builds a runner for macro steps of `step_s` simulated seconds.
-    /// The budget resolves explicit config > compiled system declaration
-    /// (`compiled_budget_ns`) > the pacing period.
+    /// Builds a runner for macro steps of `step_s` simulated seconds,
+    /// starting at engine time `t0`. The budget resolves explicit
+    /// config > compiled system declaration (`compiled_budget_ns`) > the
+    /// pacing period.
     ///
     /// # Panics
     ///
     /// Panics if the rate or the resolved budget is not positive and
     /// finite (same contracts as [`RealTimePacer::new`] /
     /// [`StepBudget::new`]).
-    pub(crate) fn new(config: PacedConfig, compiled_budget_ns: Option<f64>, step_s: f64) -> Self {
+    pub(crate) fn new(
+        config: PacedConfig,
+        compiled_budget_ns: Option<f64>,
+        step_s: f64,
+        t0: f64,
+    ) -> Self {
         let PacedConfig { rate, budget_ns, policy, clock } = config;
         let pacer = match clock {
             Some(clock) => RealTimePacer::with_clock(rate, clock),
@@ -605,6 +617,7 @@ impl PacedRunner {
             policy,
             hist: LatencyHistogram::new(),
             period_ns,
+            t0,
             steps: 0,
             samples: 0,
             consecutive: 0,
@@ -664,7 +677,7 @@ impl PacedRunner {
         }
         // Pace to the release point. `Record`/`SafetyStop` schedules may
         // have slipped; `CatchUp` keeps the absolute timeline.
-        let target = self.slip_ns.saturating_add(target_ns(sim_time, self.pacer.rate()));
+        let target = self.slip_ns.saturating_add(target_ns(sim_time - self.t0, self.pacer.rate()));
         if now < target {
             let over = self.pacer.pace_to_ns(target);
             self.worst_lag_ns = self.worst_lag_ns.max(over);
@@ -899,11 +912,11 @@ mod tests {
 
     #[test]
     fn runner_resolves_budget_from_compiled_then_period() {
-        let r = PacedRunner::new(PacedConfig::new(), Some(123_456.0), 1e-3);
+        let r = PacedRunner::new(PacedConfig::new(), Some(123_456.0), 1e-3, 0.0);
         assert_eq!(r.budget.budget_ns(), 123_456.0, "compiled budget wins over the period");
-        let r = PacedRunner::new(PacedConfig::new(), None, 1e-3);
+        let r = PacedRunner::new(PacedConfig::new(), None, 1e-3, 0.0);
         assert_eq!(r.budget.budget_ns(), 1e6, "period fallback: 1 ms step at rate 1");
-        let r = PacedRunner::new(PacedConfig::new().with_budget_ns(5.0), Some(123.0), 1e-3);
+        let r = PacedRunner::new(PacedConfig::new().with_budget_ns(5.0), Some(123.0), 1e-3, 0.0);
         assert_eq!(r.budget.budget_ns(), 5.0, "explicit config wins over everything");
     }
 
@@ -914,7 +927,7 @@ mod tests {
         // and no sleep ever happens.
         let clock = ScriptClock::new(&[0, 0, 2_000_000, 0, 2_000_000, 0, 2_000_000], 0);
         let cfg = PacedConfig::new().with_clock(Box::new(clock));
-        let mut r = PacedRunner::new(cfg, None, 1e-3);
+        let mut r = PacedRunner::new(cfg, None, 1e-3, 0.0);
         for step in 1..=3u64 {
             r.begin();
             r.end(1, step as f64 * 1e-3).unwrap();
@@ -940,7 +953,7 @@ mod tests {
         let clock = ScriptClock::new(&[0, 0, 3_000_000], 0);
         let cfg =
             PacedConfig::new().with_policy(OverrunPolicy::CatchUp).with_clock(Box::new(clock));
-        let mut r = PacedRunner::new(cfg, None, 1e-3);
+        let mut r = PacedRunner::new(cfg, None, 1e-3, 0.0);
         for step in 1..=4u64 {
             r.begin();
             r.end(1, step as f64 * 1e-3).unwrap();
@@ -961,7 +974,7 @@ mod tests {
         let cfg = PacedConfig::new()
             .with_policy(OverrunPolicy::SafetyStop { max_consecutive: 3 })
             .with_clock(Box::new(clock));
-        let mut r = PacedRunner::new(cfg, None, 1e-3);
+        let mut r = PacedRunner::new(cfg, None, 1e-3, 0.0);
         let mut aborted = None;
         for step in 1..=6u64 {
             r.begin();
@@ -991,7 +1004,7 @@ mod tests {
         // a 1 ms budget — met. A second batch at 16 ms misses.
         let clock = ScriptClock::new(&[0, 0, 8_000_000, 0, 16_000_000], 0);
         let cfg = PacedConfig::new().with_clock(Box::new(clock));
-        let mut r = PacedRunner::new(cfg, None, 1e-3);
+        let mut r = PacedRunner::new(cfg, None, 1e-3, 0.0);
         r.begin();
         r.end(8, 8e-3).unwrap();
         r.begin();

@@ -108,25 +108,33 @@ impl FromIterator<Stimulus> for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
     use crate::engine::EngineConfig;
+    use crate::model::ModelBuilder;
     use crate::threading::ThreadPolicy;
     use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-    use urt_umlrt::controller::Controller;
     use urt_umlrt::statemachine::StateMachineBuilder;
 
+    /// A streamer-free model: one `counter` capsule logging every `ping`
+    /// arriving on its `env` port.
     fn counting_engine() -> HybridEngine {
-        let sm = StateMachineBuilder::new("counter")
-            .state("s")
-            .initial("s", |_d: &mut Vec<f64>, _ctx: &mut CapsuleContext| {})
-            .internal("s", ("env", "ping"), |d, m, ctx| {
-                d.push(ctx.now());
-                let _ = m;
-            })
-            .build()
-            .unwrap();
-        let mut c = Controller::new("ev");
-        c.add_capsule(Box::new(SmCapsule::new(sm, Vec::new())));
-        HybridEngine::new(c, EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread })
+        let mut b = ModelBuilder::new("ev");
+        b.capsule("counter");
+        let registry = BehaviorRegistry::new().capsule("counter", || {
+            let sm = StateMachineBuilder::new("counter")
+                .state("s")
+                .initial("s", |_d: &mut Vec<f64>, _ctx: &mut CapsuleContext| {})
+                .internal("s", ("env", "ping"), |d, m, ctx| {
+                    d.push(ctx.now());
+                    let _ = m;
+                })
+                .build()
+                .unwrap();
+            Box::new(SmCapsule::new(sm, Vec::new()))
+        });
+        let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+        HybridEngine::from_compiled(&compiled, config).unwrap()
     }
 
     #[test]

@@ -174,13 +174,6 @@ enum NodeKind {
     /// "Relay is used as a relay point which generates two similar flows
     /// from a flow" — one input copied to every output port.
     Relay,
-    /// A streamer whose behaviour was moved out by
-    /// [`StreamerNetwork::take_behavior`]: ports, SPorts and the
-    /// feedthrough flag stay for structural queries, and stepping the
-    /// network leaves the node's outputs untouched.
-    Detached {
-        feedthrough: bool,
-    },
 }
 
 struct Node {
@@ -207,7 +200,6 @@ impl Node {
         match &self.kind {
             NodeKind::Streamer(b) => b.direct_feedthrough(),
             NodeKind::Relay => true,
-            NodeKind::Detached { feedthrough } => *feedthrough,
         }
     }
 }
@@ -794,7 +786,6 @@ impl StreamerNetwork {
                         node.out_buf[k * w..(k + 1) * w].copy_from_slice(&node.in_buf);
                     }
                 }
-                NodeKind::Detached { .. } => {}
             }
         }
         self.order = order;
@@ -910,7 +901,7 @@ impl StreamerNetwork {
                     out_width: node.out_buf.len(),
                     gathers,
                     kind: match &node.kind {
-                        NodeKind::Streamer(_) | NodeKind::Detached { .. } => PlanNodeKind::Streamer,
+                        NodeKind::Streamer(_) => PlanNodeKind::Streamer,
                         NodeKind::Relay => PlanNodeKind::Relay {
                             in_width: node.in_buf.len(),
                             fanout: node.out_ports.len(),
@@ -930,48 +921,26 @@ impl StreamerNetwork {
         })
     }
 
-    /// Clones a node's behaviour fresh (see
-    /// [`StreamerBehavior::clone_fresh`]). Returns `Ok(None)` for relays
-    /// (which have no behaviour) and for behaviours that cannot be
-    /// replicated.
+    /// Consumes the network into its [`StepPlan`] plus the behaviours of
+    /// its streamer nodes in plan order, one per
+    /// [`PlanNodeKind::Streamer`] entry (relays carry none) — for an
+    /// executor that replays the plan over its own state arrays.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn try_clone_behavior(
-        &self,
-        node: NodeId,
-    ) -> Result<Option<Box<dyn StreamerBehavior>>, FlowError> {
-        let n = self.nodes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        Ok(match &n.kind {
-            NodeKind::Streamer(b) => b.clone_fresh(),
-            NodeKind::Relay | NodeKind::Detached { .. } => None,
-        })
-    }
-
-    /// Moves a streamer's behaviour out of the network, for an executor
-    /// that replays the network's [`StepPlan`] over its own state arrays.
-    /// The node stays behind, detached: its ports, SPorts and feedthrough
-    /// flag still answer structural queries, but stepping the network no
-    /// longer advances it. Returns `Ok(None)` for relays and for nodes
-    /// already detached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn take_behavior(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Option<Box<dyn StreamerBehavior>>, FlowError> {
-        let n = self.nodes.get_mut(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        let feedthrough = n.direct_feedthrough();
-        match std::mem::replace(&mut n.kind, NodeKind::Detached { feedthrough }) {
-            NodeKind::Streamer(b) => Ok(Some(b)),
-            other => {
-                n.kind = other;
-                Ok(None)
-            }
-        }
+    /// The same structural errors as [`StreamerNetwork::step_plan`].
+    pub fn into_plan(self) -> Result<(StepPlan, Vec<Box<dyn StreamerBehavior>>), FlowError> {
+        let plan = self.step_plan()?;
+        let mut nodes = self.nodes;
+        let behaviours = plan
+            .nodes()
+            .iter()
+            .filter_map(|pn| match std::mem::replace(&mut nodes[pn.node.0].kind, NodeKind::Relay) {
+                NodeKind::Streamer(b) => Some(b),
+                NodeKind::Relay => None,
+            })
+            .collect();
+        Ok((plan, behaviours))
     }
 
     /// Delivers a signal message to a node's behaviour (as if it arrived on
@@ -1471,7 +1440,6 @@ mod tests {
             .send_signal(bogus, &Message::new("x", urt_umlrt::value::Value::Empty))
             .is_err());
         assert!(net.add_sport(bogus, SPortSpec::new("p", Protocol::new("P"))).is_err());
-        assert!(net.try_clone_behavior(bogus).is_err());
     }
 
     /// Builds source -> relay -> {gain x2, gain x(-3)} with one external
@@ -1510,22 +1478,19 @@ mod tests {
     }
 
     #[test]
-    fn taken_behaviours_leave_a_structural_shell() {
-        let (mut net, g1, _, ext) = plan_fixture();
+    fn into_plan_yields_streamer_behaviours_in_plan_order() {
+        let (net, _, _, _) = plan_fixture();
         let plan = net.step_plan().unwrap();
-        let relay = NodeId(1);
-        assert!(net.take_behavior(relay).unwrap().is_none(), "relays have no behaviour");
-        let b = net.take_behavior(g1).unwrap().expect("streamer behaviour");
-        assert_eq!(b.name(), "g1");
-        assert!(net.take_behavior(g1).unwrap().is_none(), "already detached");
-        assert!(net.take_behavior(NodeId(99)).is_err());
-        // Structure, feedthrough and the plan survive the move.
-        assert_eq!(net.node_name(g1).unwrap(), "g1");
-        assert!(net.node_feedthrough(g1).unwrap());
-        assert_eq!(net.output_handle(g1, "o").unwrap().width(), 1);
-        assert_eq!(net.exported_inputs(), vec![(ext, "i")]);
-        assert_eq!(net.step_plan().unwrap(), plan);
-        assert!(net.try_clone_behavior(g1).unwrap().is_none());
+        let streamers: Vec<String> = plan
+            .nodes()
+            .iter()
+            .filter(|pn| pn.kind == PlanNodeKind::Streamer)
+            .map(|pn| net.node_name(pn.node).unwrap().to_owned())
+            .collect();
+        let (consumed, behaviours) = net.into_plan().unwrap();
+        assert_eq!(consumed, plan, "consuming the network plans it unchanged");
+        let names: Vec<&str> = behaviours.iter().map(|b| b.name()).collect();
+        assert_eq!(names, streamers, "one behaviour per streamer row; the relay carries none");
     }
 
     #[test]
@@ -1533,11 +1498,11 @@ mod tests {
         let (mut net, g1, g2, ext) = plan_fixture();
         let plan = net.step_plan().expect("plan computes without &mut");
 
-        // Execute the plan over dense arrays with freshly cloned
-        // behaviours.
-        let mut behaviors: Vec<Option<Box<dyn StreamerBehavior>>> =
-            (0..net.node_count()).map(|i| net.try_clone_behavior(NodeId(i)).unwrap()).collect();
-        for b in behaviors.iter_mut().flatten() {
+        // Execute the plan over dense arrays with the behaviours of a
+        // second copy of the network, consumed into its plan.
+        let (replayed, mut behaviors) = plan_fixture().0.into_plan().unwrap();
+        assert_eq!(replayed, plan);
+        for b in &mut behaviors {
             b.initialize(0.0).unwrap();
         }
         let mut ins = vec![0.0; plan.in_width()];
@@ -1549,6 +1514,7 @@ mod tests {
             for c in plan.ext_loads() {
                 ins[c.dst..c.dst + c.len].copy_from_slice(&ext_u[c.src..c.src + c.len]);
             }
+            let mut row = 0;
             for pn in plan.nodes() {
                 for gth in &pn.gathers {
                     let (src, dst) = (gth.src, gth.dst);
@@ -1556,7 +1522,8 @@ mod tests {
                 }
                 match pn.kind {
                     PlanNodeKind::Streamer => {
-                        let b = behaviors[pn.node.index()].as_mut().expect("streamer clones");
+                        let b = &mut behaviors[row];
+                        row += 1;
                         let (i0, i1) = (pn.in_offset, pn.in_offset + pn.in_width);
                         let (o0, o1) = (pn.out_offset, pn.out_offset + pn.out_width);
                         // Split the borrow: inputs and outputs live in

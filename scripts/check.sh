@@ -78,7 +78,7 @@ esac
 echo "==> bench_engine --smoke (self-asserts batched, ensemble, kernel and instantiate throughput)"
 bench_json="$(cargo run -q --release --offline -p urt-bench --bin bench_engine -- --smoke)"
 case "$bench_json" in
-    '{"schema":"bench_engine/v7","smoke":true,'*'"batch":'*'"steps_per_sec":'*'"ensemble":['*'"mode":"ensemble"'*'"mode":"independent"'*'"kernel":['*'"kernel":"scalar"'*'"kernel":"batched"'*'"instantiate":['*'"instantiate_per_sec":'*'"speedup":'*) ;;
+    '{"schema":"bench_engine/v8","smoke":true,'*'"batch":'*'"steps_per_sec":'*'"ensemble":['*'"mode":"ensemble"'*'"mode":"independent"'*'"kernel":['*'"kernel":"scalar"'*'"kernel":"batched"'*'"instantiate":['*'"instantiate_per_sec":'*'"speedup":'*) ;;
     *)
         echo "unexpected bench_engine --smoke output: $bench_json" >&2
         exit 1
@@ -87,9 +87,9 @@ esac
 
 echo "==> bench_engine --paced --smoke (paced latency axis, self-asserts misses == 0)"
 paced_json="$(cargo run -q --release --offline -p urt-bench --bin bench_engine -- --paced --smoke)"
-# Shape: the v6 paced array must carry the latency distribution fields.
+# Shape: the paced array must carry the latency distribution fields.
 case "$paced_json" in
-    '{"schema":"bench_engine/v7","smoke":true,'*'"paced":['*'"p50_ns":'*'"p99_ns":'*'"worst_ns":'*'"misses":'*) ;;
+    '{"schema":"bench_engine/v8","smoke":true,'*'"paced":['*'"p50_ns":'*'"p99_ns":'*'"worst_ns":'*'"misses":'*) ;;
     *)
         echo "unexpected bench_engine --paced --smoke output: $paced_json" >&2
         exit 1
@@ -103,5 +103,8 @@ case "$paced_json" in
         exit 1
         ;;
 esac
+
+echo "==> e2ebench: cargo test --release --offline (the benchmark builds against the public API)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "OK"

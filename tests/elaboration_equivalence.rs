@@ -1,24 +1,30 @@
 //! Elaboration equivalence: lowering a declarative `UnifiedModel` through
 //! `compile` (analyze → elaborate) must produce an engine whose behaviour
-//! is *bit-identical* to the same system wired by hand against the
-//! runtime APIs — recorder series, final capsule states, delivered
-//! counts, step counts, and final times, under both threading policies.
-//! Elaboration is a change of notation, never a change of semantics.
+//! is *bit-identical* to the same system wired by hand at the dataflow
+//! layer and stepped through `StreamerNetwork::step` — recorder series,
+//! final capsule states, delivered counts, step counts, and final times,
+//! under both threading policies. Elaboration is a change of notation,
+//! never a change of semantics.
 //!
-//! Two workloads are pinned:
+//! Three workloads are pinned:
 //!
 //! * **fig2** — the paper's Figure 2 streamer network (source, fan-out,
-//!   two consumers). The hand-wired form routes the fan-out through an
-//!   explicit relay node; the elaborated form duplicates the flow
-//!   directly. Relays copy samples exactly, so the two topologies must
-//!   agree to the last bit.
+//!   two consumers). The reference routes the fan-out through an explicit
+//!   relay node; the elaborated form duplicates the flow directly. Relays
+//!   copy samples exactly, so the two topologies must agree to the last
+//!   bit.
+//! * **cross-group** — a producer network feeding a consumer network
+//!   through a one-macro-step channel, which the reference loop carries
+//!   by hand.
 //! * **quickstart** — the bang-bang thermostat: an ODE streamer with
-//!   zero-crossing guards SPort-linked to a thermostat capsule.
+//!   zero-crossing guards SPort-linked to a thermostat capsule, which the
+//!   reference loop drives through a bare `Controller`.
 //!
-//! A third check pins the engine's plan replay against
+//! A fourth check pins the engine's plan replay against
 //! `StreamerNetwork::step` itself for a group that emits and receives
 //! SPort signals (a bouncing ball feeding a relay).
 
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use unified_rt::analysis::compile;
 use unified_rt::core::elaborate::BehaviorRegistry;
@@ -50,9 +56,14 @@ struct Run {
     time: f64,
 }
 
+/// Every series of `rec`, in `Recorder::names` order.
+fn series_of(rec: &Recorder) -> Vec<(String, Vec<(f64, f64)>)> {
+    rec.names().into_iter().map(|n| (n.clone(), rec.series(&n))).collect()
+}
+
 fn capture(engine: &HybridEngine, rec: &Recorder, capsule: Option<usize>) -> Run {
     Run {
-        series: rec.names().into_iter().map(|n| (n.clone(), rec.series(&n))).collect(),
+        series: series_of(rec),
         final_state: capsule
             .map(|c| engine.controller().capsule_state(c).expect("capsule state").to_owned()),
         delivered: engine.controller().delivered_count(),
@@ -61,13 +72,40 @@ fn capture(engine: &HybridEngine, rec: &Recorder, capsule: Option<usize>) -> Run
     }
 }
 
-fn assert_bit_identical(wired: &Run, compiled: &Run, what: &str) {
-    assert_eq!(wired.step_count, compiled.step_count, "{what}: same number of macro steps");
-    assert_eq!(wired.time.to_bits(), compiled.time.to_bits(), "{what}: bit-identical final time");
-    assert_eq!(wired.final_state, compiled.final_state, "{what}: same capsule state");
-    assert_eq!(wired.delivered, compiled.delivered, "{what}: same delivered event count");
-    assert_eq!(wired.series.len(), compiled.series.len(), "{what}: same probe count");
-    for ((name_a, a), (name_b, b)) in wired.series.iter().zip(&compiled.series) {
+/// The macro step of every run in this file.
+const STEP: f64 = 0.01;
+
+/// Macro steps from 0 to `t_end`.
+fn steps(t_end: f64) -> usize {
+    (t_end / STEP).round() as usize
+}
+
+fn reference_run(
+    rec: &Recorder,
+    clock: &SimClock,
+    controller: Option<(&Controller, usize)>,
+) -> Run {
+    Run {
+        series: series_of(rec),
+        final_state: controller
+            .map(|(c, cap)| c.capsule_state(cap).expect("capsule state").to_owned()),
+        delivered: controller.map_or(0, |(c, _)| c.delivered_count()),
+        step_count: clock.step_count(),
+        time: clock.seconds(),
+    }
+}
+
+fn assert_bit_identical(reference: &Run, compiled: &Run, what: &str) {
+    assert_eq!(reference.step_count, compiled.step_count, "{what}: same number of macro steps");
+    assert_eq!(
+        reference.time.to_bits(),
+        compiled.time.to_bits(),
+        "{what}: bit-identical final time"
+    );
+    assert_eq!(reference.final_state, compiled.final_state, "{what}: same capsule state");
+    assert_eq!(reference.delivered, compiled.delivered, "{what}: same delivered event count");
+    assert_eq!(reference.series.len(), compiled.series.len(), "{what}: same probe count");
+    for ((name_a, a), (name_b, b)) in reference.series.iter().zip(&compiled.series) {
         assert_eq!(name_a, name_b, "{what}: same probe names");
         assert_eq!(a.len(), b.len(), "{what}: series `{name_a}` lengths");
         for (k, ((t1, v1), (t2, v2))) in a.iter().zip(b).enumerate() {
@@ -93,9 +131,9 @@ fn fig2_squarer() -> Box<dyn StreamerBehavior> {
     Box::new(FnStreamer::new("sub3", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0]))
 }
 
-/// Hand-wired Figure 2, with the fan-out routed through an explicit
-/// relay node (the pre-elaboration idiom).
-fn fig2_wired(policy: ThreadPolicy, t_end: f64) -> Run {
+/// Figure 2 wired by hand, with the fan-out routed through an explicit
+/// relay node, and stepped directly.
+fn fig2_reference(t_end: f64) -> Run {
     let mut net = StreamerNetwork::new("fig2");
     let sub1 =
         net.add_streamer_boxed(fig2_source(), &[], &[("y", FlowType::scalar())]).expect("sub1");
@@ -118,14 +156,15 @@ fn fig2_wired(policy: ThreadPolicy, t_end: f64) -> Run {
     net.flow((relay, "out0"), (sub2, "u")).expect("flow 2");
     net.flow((relay, "out1"), (sub3, "u")).expect("flow 3");
 
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: 0.01, policy });
-    let g = engine.add_group(net).expect("group");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(g, sub2, "y", "sub2.y").expect("probe sub2");
-    engine.add_probe(g, sub3, "y", "sub3.y").expect("probe sub3");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
+    net.initialize(0.0).expect("init");
+    let (rec, mut clock) = (Recorder::new(), SimClock::new());
+    for _ in 0..steps(t_end) {
+        net.step(STEP).expect("step");
+        clock.tick(STEP);
+        rec.push("sub2.y", clock.seconds(), net.output(sub2, "y").expect("sub2")[0]);
+        rec.push("sub3.y", clock.seconds(), net.output(sub3, "y").expect("sub3")[0]);
+    }
+    reference_run(&rec, &clock, None)
 }
 
 /// The same Figure 2 declared as a model (container streamer, fan-out as
@@ -156,7 +195,7 @@ fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
         .streamer("sub3", fig2_squarer);
     let compiled = compile(&model, registry).expect("fig2 compiles");
     assert!(compiled.streamer_node("top").is_none(), "containers contribute no nodes");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
         .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
@@ -227,23 +266,37 @@ fn thermostat_capsule() -> Box<SmCapsule<u32>> {
     Box::new(SmCapsule::new(machine, 0u32))
 }
 
-/// The thermostat wired by hand: explicit network, controller, SPort
-/// link, and probe (the pre-elaboration idiom).
-fn quickstart_wired(policy: ThreadPolicy, t_end: f64) -> Run {
+/// The thermostat wired by hand — explicit network, controller and SPort
+/// channel — and stepped in the engine's macro-step order: capsule
+/// messages reach the streamer, the network steps, its `ctl` signals reach
+/// the capsule, and the event world catches up to the new instant.
+fn quickstart_reference(t_end: f64) -> Run {
     let mut net = StreamerNetwork::new("thermal");
     let node = net
         .add_streamer(*room_streamer(), &[], &[("temp", FlowType::with_unit(Unit::Kelvin))])
         .expect("room");
     let mut controller = Controller::new("events");
     let thermostat = controller.add_capsule(thermostat_capsule());
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let group = engine.add_group(net).expect("group");
-    engine.link_sport(group, node, "ctl", thermostat, "plant").expect("link");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(group, node, "temp", "temperature").expect("probe");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, Some(thermostat))
+    let (tx, from_capsule) = mpsc::channel();
+    controller.connect_external(thermostat, "plant", tx).expect("link");
+    net.initialize(0.0).expect("init");
+    controller.start().expect("start");
+    let (rec, mut clock) = (Recorder::new(), SimClock::new());
+    for _ in 0..steps(t_end) {
+        while let Ok(msg) = from_capsule.try_recv() {
+            net.send_signal(node, &msg).expect("deliver");
+        }
+        net.step(STEP).expect("step");
+        clock.tick(STEP);
+        rec.push("temperature", clock.seconds(), net.output(node, "temp").expect("temp")[0]);
+        for (_, sport, msg) in net.drain_signals() {
+            if sport == "ctl" {
+                controller.inject(thermostat, "plant", msg).expect("inject");
+            }
+        }
+        controller.run_until(clock.seconds()).expect("events");
+    }
+    reference_run(&rec, &clock, Some((&controller, thermostat)))
 }
 
 /// The same thermostat declared as a model and lowered through `compile`.
@@ -280,7 +333,7 @@ fn quickstart_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
         .capsule("thermostat", || thermostat_capsule());
     let compiled = compile(&model, registry).expect("quickstart compiles");
     let cap = compiled.capsule_index("thermostat").expect("capsule exists");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
         .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
@@ -348,10 +401,11 @@ fn scaler() -> Box<dyn StreamerBehavior> {
     Box::new(FnStreamer::new("scale", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 0.5 * u[0]))
 }
 
-/// Hand-wired cross-group pipeline: a wave source in one group feeding a
-/// hold + feedthrough scaler in another, with the channel linked through
-/// the engine API (export the consumer input, then `link_flow`).
-fn cross_group_wired(policy: ThreadPolicy, t_end: f64) -> Run {
+/// The cross-group pipeline wired by hand: a wave source in one network
+/// feeding a hold + feedthrough scaler in another through the consumer's
+/// exported input, which the loop latches with the producer's previous
+/// step's sample (zero at step 0) — the channel's one-step delay.
+fn cross_group_reference(t_end: f64) -> Run {
     let mut producer = StreamerNetwork::new("xg-t0");
     let wave = producer
         .add_streamer_boxed(Box::new(Wave), &[], &[("y", FlowType::scalar())])
@@ -370,16 +424,20 @@ fn cross_group_wired(policy: ThreadPolicy, t_end: f64) -> Run {
     consumer.flow((hold, "y"), (scale, "u")).expect("intra flow");
     consumer.export_input(hold, "u").expect("export");
 
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: 0.01, policy });
-    let gp = engine.add_group(producer).expect("producer group");
-    let gc = engine.add_group(consumer).expect("consumer group");
-    engine.link_flow((gp, wave, "y"), (gc, hold, "u")).expect("channel");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(gp, wave, "y", "wave.y").expect("probe wave");
-    engine.add_probe(gc, scale, "y", "scale.y").expect("probe scale");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
+    producer.initialize(0.0).expect("init producer");
+    consumer.initialize(0.0).expect("init consumer");
+    let mut channel = [0.0];
+    let (rec, mut clock) = (Recorder::new(), SimClock::new());
+    for _ in 0..steps(t_end) {
+        consumer.set_external_inputs(&channel);
+        producer.step(STEP).expect("producer step");
+        consumer.step(STEP).expect("consumer step");
+        channel.copy_from_slice(producer.output(wave, "y").expect("wave"));
+        clock.tick(STEP);
+        rec.push("wave.y", clock.seconds(), channel[0]);
+        rec.push("scale.y", clock.seconds(), consumer.output(scale, "y").expect("scale")[0]);
+    }
+    reference_run(&rec, &clock, None)
 }
 
 /// The same pipeline declared as a model: `assign_thread` splits the
@@ -414,7 +472,7 @@ fn cross_group_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     let compiled = compile(&model, registry).expect("cross-group model compiles");
     assert_eq!(compiled.group_count(), 2, "assign_thread keeps two groups");
     assert_eq!(compiled.cross_flow_count(), 1, "one lowered channel");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
         .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
@@ -427,13 +485,13 @@ fn cross_group_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
 #[test]
 fn fig2_elaboration_is_bit_identical_to_hand_wiring() {
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = fig2_wired(policy, 2.0);
+        let reference = fig2_reference(2.0);
         let lowered = fig2_compiled(policy, 2.0);
-        assert_bit_identical(&wired, &lowered, &format!("fig2/{policy}"));
+        assert_bit_identical(&reference, &lowered, &format!("fig2/{policy}"));
         // The run is not degenerate: both probes carried samples.
-        assert_eq!(wired.series.len(), 2, "fig2/{policy}: both probes present");
+        assert_eq!(reference.series.len(), 2, "fig2/{policy}: both probes present");
         assert!(
-            wired.series.iter().all(|(_, s)| s.len() == 200),
+            reference.series.iter().all(|(_, s)| s.len() == 200),
             "fig2/{policy}: 200 samples per probe"
         );
     }
@@ -442,17 +500,17 @@ fn fig2_elaboration_is_bit_identical_to_hand_wiring() {
 #[test]
 fn cross_group_elaboration_is_bit_identical_to_hand_wiring() {
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = cross_group_wired(policy, 2.0);
+        let reference = cross_group_reference(2.0);
         let lowered = cross_group_compiled(policy, 2.0);
-        assert_bit_identical(&wired, &lowered, &format!("cross-group/{policy}"));
+        assert_bit_identical(&reference, &lowered, &format!("cross-group/{policy}"));
         assert!(
-            wired.series.iter().all(|(_, s)| s.len() == 200),
+            reference.series.iter().all(|(_, s)| s.len() == 200),
             "cross-group/{policy}: 200 samples per probe"
         );
         // The channel's one-step delay is part of the pinned semantics:
         // scale(k) = 0.5 * wave(k-1), with a zero-initialised first read.
-        let wave = &wired.series.iter().find(|(n, _)| n == "wave.y").expect("wave series").1;
-        let scale = &wired.series.iter().find(|(n, _)| n == "scale.y").expect("scale series").1;
+        let wave = &reference.series.iter().find(|(n, _)| n == "wave.y").expect("wave series").1;
+        let scale = &reference.series.iter().find(|(n, _)| n == "scale.y").expect("scale series").1;
         assert_eq!(scale[0].1.to_bits(), 0.0f64.to_bits(), "cross-group/{policy}: initial read");
         for k in 1..scale.len() {
             assert_eq!(
@@ -467,12 +525,12 @@ fn cross_group_elaboration_is_bit_identical_to_hand_wiring() {
 #[test]
 fn quickstart_elaboration_is_bit_identical_to_hand_wiring() {
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = quickstart_wired(policy, 120.0);
+        let reference = quickstart_reference(120.0);
         let lowered = quickstart_compiled(policy, 120.0);
-        assert_bit_identical(&wired, &lowered, &format!("quickstart/{policy}"));
+        assert_bit_identical(&reference, &lowered, &format!("quickstart/{policy}"));
         // The closed loop actually switched — this is not an idle run.
-        assert!(wired.delivered >= 2, "quickstart/{policy}: the thermostat saw crossings");
-        assert_eq!(wired.final_state.as_deref(), lowered.final_state.as_deref());
+        assert!(reference.delivered >= 2, "quickstart/{policy}: the thermostat saw crossings");
+        assert_eq!(reference.final_state.as_deref(), lowered.final_state.as_deref());
     }
 }
 
@@ -502,20 +560,27 @@ impl InputSystem for Ball {
 }
 
 /// A guarded ball emitting `bounce` on its `game` SPort and turning a
-/// received `kick` into the restitution reset, feeding a relay that fans
-/// the height out to a doubler and a squarer.
+/// received `kick` into the restitution reset.
+fn ball_streamer() -> Box<OdeStreamer<Ball>> {
+    Box::new(
+        OdeStreamer::new("ball", Ball, SolverKind::Rk4.create(), &[1.0, 0.0], 1e-4)
+            .with_guard(ZeroCrossing::new("bounce", EventDirection::Falling, |_t, x| x[0]))
+            .with_event_sport("game")
+            .with_signal_handler(|msg, _ball: &mut Ball, state| {
+                if msg.signal() == "kick" {
+                    state[0] = 0.0;
+                    state[1] *= -0.8;
+                }
+            }),
+    )
+}
+
+/// The ball feeding a relay that fans the height out to a doubler and a
+/// squarer.
 fn bouncing_network() -> (StreamerNetwork, [unified_rt::dataflow::graph::NodeId; 3]) {
-    let ball = OdeStreamer::new("ball", Ball, SolverKind::Rk4.create(), &[1.0, 0.0], 1e-4)
-        .with_guard(ZeroCrossing::new("bounce", EventDirection::Falling, |_t, x| x[0]))
-        .with_event_sport("game")
-        .with_signal_handler(|msg, _ball: &mut Ball, state| {
-            if msg.signal() == "kick" {
-                state[0] = 0.0;
-                state[1] *= -0.8;
-            }
-        });
     let mut net = StreamerNetwork::new("bouncing");
-    let ball = net.add_streamer(ball, &[], &[("height", FlowType::scalar())]).expect("ball");
+    let ball =
+        net.add_streamer(*ball_streamer(), &[], &[("height", FlowType::scalar())]).expect("ball");
     let relay = net.add_relay("split", FlowType::scalar(), 2).expect("relay");
     let dbl = net
         .add_streamer_boxed(
@@ -569,26 +634,55 @@ fn plan_replay_matches_network_stepping_for_a_signal_emitting_group() {
     assert!(expect_emitted.len() >= 3, "the ball bounces several times");
 
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+        // The same group declared as a model: the relay's fan-out becomes
+        // two similar flows, the referee a registered capsule.
+        let mut b = ModelBuilder::new("bouncing");
+        let referee = b.capsule("referee");
+        let ball_s = b.streamer("ball", "rk4");
+        b.streamer_out(ball_s, "height", FlowType::scalar());
+        b.streamer_feedthrough(ball_s, false);
+        for (name, series) in [("dbl", "dbl"), ("sq", "sq")] {
+            let s = b.streamer(name, "euler");
+            b.streamer_in(s, "u", FlowType::scalar());
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.flow_between_streamers(ball_s, "height", s, "u");
+            b.probe(s, "y", series);
+        }
+        b.declare_protocol(
+            Protocol::new("Game")
+                .with_in("bounce", PayloadKind::Empty)
+                .with_out("kick", PayloadKind::Empty),
+        );
+        b.streamer_sport(ball_s, "game", "Game");
+        b.capsule_sport(referee, "ball", "Game");
+        b.sport_link(referee, "ball", ball_s, "game");
         let received: Arc<Mutex<Vec<Message>>> = Arc::default();
-        let referee = StateMachineBuilder::new("referee")
-            .state("playing")
-            .initial("playing", |_d: &mut Arc<Mutex<Vec<Message>>>, _ctx: &mut CapsuleContext| {})
-            .internal("playing", ("ball", "bounce"), |log, m, ctx| {
-                log.lock().expect("log").push(m.clone());
-                ctx.send("ball", "kick", Value::Empty);
-            })
-            .build()
-            .expect("referee");
-        let mut controller = Controller::new("ev");
-        let cap = controller.add_capsule(Box::new(SmCapsule::new(referee, received.clone())));
-        let (net, [ball, dbl, sq]) = bouncing_network();
-        let mut engine = HybridEngine::new(controller, EngineConfig { step: STEP, policy });
-        let g = engine.add_group(net).expect("group");
-        engine.link_sport(g, ball, "game", cap, "ball").expect("link");
+        let log = received.clone();
+        let registry = BehaviorRegistry::new()
+            .streamer("ball", || ball_streamer())
+            .streamer("dbl", fig2_doubler)
+            .streamer("sq", fig2_squarer)
+            .capsule("referee", move || {
+                let referee = StateMachineBuilder::new("referee")
+                    .state("playing")
+                    .initial(
+                        "playing",
+                        |_d: &mut Arc<Mutex<Vec<Message>>>, _ctx: &mut CapsuleContext| {},
+                    )
+                    .internal("playing", ("ball", "bounce"), |log, m, ctx| {
+                        log.lock().expect("log").push(m.clone());
+                        ctx.send("ball", "kick", Value::Empty);
+                    })
+                    .build()
+                    .expect("referee");
+                Box::new(SmCapsule::new(referee, log.clone()))
+            });
+        let compiled = compile(&b.build(), registry).expect("bouncing model compiles");
+        let mut engine =
+            HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
+                .expect("engine");
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
-        engine.add_probe(g, dbl, "y", "dbl").expect("probe dbl");
-        engine.add_probe(g, sq, "y", "sq").expect("probe sq");
         engine.run_until(STEPS as f64 * STEP).expect("run");
 
         for (name, expect) in [("dbl", &expect_dbl), ("sq", &expect_sq)] {

@@ -2,8 +2,13 @@
 //! lifecycle misuse must surface as errors, not hangs or silent
 //! corruption.
 
+use std::sync::mpsc;
+use std::time::Duration;
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
-use unified_rt::core::ensemble::EnsembleEngine;
+use unified_rt::core::ensemble::{EnsembleEngine, VariantSpec};
+use unified_rt::core::model::ModelBuilder;
+use unified_rt::core::pacer::PacedConfig;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
@@ -15,7 +20,7 @@ use unified_rt::ode::SolveError;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
 use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::message::Message;
-use unified_rt::umlrt::statemachine::StateMachineBuilder;
+use unified_rt::umlrt::statemachine::{SmSpec, StateMachineBuilder};
 
 fn idle_controller() -> Controller {
     let sm = StateMachineBuilder::new("idle")
@@ -28,28 +33,36 @@ fn idle_controller() -> Controller {
     c
 }
 
-fn exploding_network() -> StreamerNetwork {
-    // x' = x^2 with x0 = 1 blows up at t = 1 (finite escape time).
-    let sys = FnInputSystem::new(1, 0, |_t, x: &[f64], _u: &[f64], dx: &mut [f64]| {
-        dx[0] = x[0] * x[0];
+/// An idle capsule next to one RK4 streamer integrating `x' = rhs(x)`
+/// from `x0 = 1`.
+fn scalar_ode_model(rhs: fn(f64) -> f64) -> CompiledSystem {
+    let mut b = ModelBuilder::new("explosive");
+    let idle = b.capsule("idle");
+    b.capsule_machine(idle, SmSpec::new("idle").state("s").initial("s"));
+    let s = b.streamer("bomb", "rk4");
+    b.streamer_out(s, "y", FlowType::scalar());
+    b.streamer_feedthrough(s, false);
+    let registry = BehaviorRegistry::new().streamer("bomb", move || {
+        let sys = FnInputSystem::new(1, 0, move |_t, x: &[f64], _u: &[f64], dx: &mut [f64]| {
+            dx[0] = rhs(x[0]);
+        });
+        Box::new(OdeStreamer::new("bomb", sys, SolverKind::Rk4.create(), &[1.0], 1e-3))
     });
-    let mut net = StreamerNetwork::new("explosive");
-    net.add_streamer(
-        OdeStreamer::new("bomb", sys, SolverKind::Rk4.create(), &[1.0], 1e-3),
-        &[],
-        &[("y", FlowType::scalar())],
-    )
-    .expect("add");
-    net
+    elaborate(&b.build(), registry, &validate_gate).expect("model compiles")
+}
+
+/// `x' = x^2` with `x0 = 1` blows up at `t = 1` (finite escape time).
+fn exploding_model() -> CompiledSystem {
+    scalar_ode_model(|x| x * x)
+}
+
+fn engine(compiled: &CompiledSystem, policy: ThreadPolicy) -> HybridEngine {
+    HybridEngine::from_compiled(compiled, EngineConfig { step: 0.01, policy }).expect("engine")
 }
 
 #[test]
 fn diverging_solver_errors_locally() {
-    let mut engine = HybridEngine::new(
-        idle_controller(),
-        EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-    );
-    engine.add_group(exploding_network()).expect("group");
+    let mut engine = engine(&exploding_model(), ThreadPolicy::CurrentThread);
     let err = engine.run_until(2.0).expect_err("finite escape must error");
     assert!(
         matches!(err, CoreError::Flow(_)),
@@ -60,11 +73,7 @@ fn diverging_solver_errors_locally() {
 
 #[test]
 fn diverging_solver_errors_across_threads() {
-    let mut engine = HybridEngine::new(
-        idle_controller(),
-        EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-    );
-    engine.add_group(exploding_network()).expect("group");
+    let mut engine = engine(&exploding_model(), ThreadPolicy::DedicatedThreads);
     let err = engine.run_until(2.0).expect_err("finite escape must error");
     assert!(matches!(err, CoreError::Flow(_) | CoreError::ThreadLost { .. }));
 }
@@ -75,15 +84,16 @@ fn failed_runs_stop_the_clock_at_the_same_step_under_both_policies() {
     // completed: the threaded schedule must not tick the rest of its
     // batch. One instance and a four-instance ensemble alike.
     let config = |policy| EngineConfig { step: 0.01, policy };
+    let compiled = exploding_model();
     let single = |policy| {
-        let mut engine = HybridEngine::new(idle_controller(), config(policy));
-        engine.add_group(exploding_network()).expect("group");
+        let mut engine = engine(&compiled, policy);
         engine.run_until(2.0).expect_err("finite escape must error");
         (engine.time(), engine.step_count())
     };
     let ensemble = |policy| {
-        let mut engine = EnsembleEngine::from_network(&exploding_network(), 4, &[], config(policy))
-            .expect("ensemble");
+        let variants = vec![VariantSpec::new(); 4];
+        let mut engine =
+            EnsembleEngine::from_variants(&compiled, &variants, config(policy)).expect("ensemble");
         engine.run_until(2.0).expect_err("finite escape must error");
         (engine.time(), engine.step_count())
     };
@@ -164,4 +174,46 @@ fn messages_to_dead_external_links_count_as_dropped() {
     drop(rx); // receiver dies before start
     c.start().expect("start");
     assert_eq!(c.dropped_count(), 1, "send into a dead channel is a drop");
+}
+
+#[test]
+fn nan_run_target_is_refused_before_any_step() {
+    // `(NaN - t) / h` casts to zero steps: without the check, a NaN
+    // target "succeeded" without running anything.
+    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+        let mut engine = engine(&scalar_ode_model(|x| -x), policy);
+        let err = engine.run_until(f64::NAN).expect_err("NaN target must be refused");
+        assert!(matches!(err, CoreError::Engine { .. }), "{policy}: {err}");
+        assert!(err.to_string().starts_with("URT111: "), "{policy}: {err}");
+        let err = engine
+            .run_paced(f64::NAN, PacedConfig::new().with_rate(1e9))
+            .expect_err("NaN paced target must be refused");
+        assert!(err.to_string().starts_with("URT111: "), "{policy}: {err}");
+        assert_eq!(engine.step_count(), 0, "{policy}: no step ran");
+    }
+}
+
+#[test]
+fn infinite_run_target_is_refused_instead_of_hanging() {
+    // `(inf - t) / h` casts to u64::MAX steps. The run happens on its own
+    // thread under a watchdog, so a regression fails here instead of
+    // stalling the suite.
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut engine = engine(&scalar_ode_model(|x| -x), ThreadPolicy::CurrentThread);
+        let until = engine.run_until(f64::INFINITY).map_err(|e| e.to_string());
+        let paced = engine
+            .run_paced(f64::INFINITY, PacedConfig::new().with_rate(1e9))
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        tx.send((until, paced, engine.step_count())).expect("watchdog listening");
+    });
+    let (until, paced, steps) =
+        rx.recv_timeout(Duration::from_secs(30)).expect("an infinite target must not hang");
+    worker.join().expect("worker thread");
+    for (what, result) in [("run_until", until), ("run_paced", paced)] {
+        let err = result.expect_err(what);
+        assert!(err.starts_with("URT111: "), "{what}: {err}");
+    }
+    assert_eq!(steps, 0, "no step ran");
 }

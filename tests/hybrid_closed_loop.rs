@@ -1,17 +1,18 @@
 //! Integration: a full hybrid closed loop (plant streamer + supervisor
 //! capsule) through the engine, under both thread policies.
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::{NodeId, StreamerNetwork};
+use unified_rt::dataflow::graph::NodeId;
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::events::{EventDirection, ZeroCrossing};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::statemachine::StateMachineBuilder;
 use unified_rt::umlrt::value::Value;
 
@@ -36,47 +37,59 @@ impl InputSystem for Heater {
 }
 
 fn build_loop(policy: ThreadPolicy) -> (HybridEngine, Recorder, NodeId, usize) {
-    let plant = OdeStreamer::new(
-        "heater",
-        Heater { on: true, gain: 2.0, loss: 0.5 },
-        SolverKind::Rk4.create(),
-        &[0.0],
-        1e-3,
-    )
-    .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
-    .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
-    .with_event_sport("ctl")
-    .with_signal_handler(|msg, h: &mut Heater, _| match msg.signal() {
-        "on" => h.on = true,
-        "off" => h.on = false,
-        _ => {}
-    });
-    let mut net = StreamerNetwork::new("plant");
-    let node = net.add_streamer(plant, &[], &[("x", FlowType::scalar())]).expect("add streamer");
-
-    let machine = StateMachineBuilder::new("bang")
-        .state("heating")
-        .state("cooling")
-        .initial("heating", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
-        .on("heating", ("p", "high"), "cooling", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "off", Value::Empty);
+    let mut b = ModelBuilder::new("closed-loop");
+    let bang = b.capsule("bang");
+    let heater = b.streamer("heater", "rk4");
+    b.streamer_out(heater, "x", FlowType::scalar());
+    b.streamer_feedthrough(heater, false);
+    b.streamer_sport(heater, "ctl", "HeaterCtl");
+    b.capsule_sport(bang, "p", "HeaterCtl");
+    b.sport_link(bang, "p", heater, "ctl");
+    b.probe(heater, "x", "x");
+    let registry = BehaviorRegistry::new()
+        .streamer("heater", || {
+            let plant = OdeStreamer::new(
+                "heater",
+                Heater { on: true, gain: 2.0, loss: 0.5 },
+                SolverKind::Rk4.create(),
+                &[0.0],
+                1e-3,
+            )
+            .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
+            .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
+            .with_event_sport("ctl")
+            .with_signal_handler(|msg, h: &mut Heater, _| match msg.signal() {
+                "on" => h.on = true,
+                "off" => h.on = false,
+                _ => {}
+            });
+            Box::new(plant)
         })
-        .on("cooling", ("p", "low"), "heating", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "on", Value::Empty);
-        })
-        .build()
-        .expect("machine");
-    let mut controller = Controller::new("ev");
-    let cap = controller.add_capsule(Box::new(SmCapsule::new(machine, 0u32)));
+        .capsule("bang", || {
+            let machine = StateMachineBuilder::new("bang")
+                .state("heating")
+                .state("cooling")
+                .initial("heating", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
+                .on("heating", ("p", "high"), "cooling", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "off", Value::Empty);
+                })
+                .on("cooling", ("p", "low"), "heating", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "on", Value::Empty);
+                })
+                .build()
+                .expect("machine");
+            Box::new(SmCapsule::new(machine, 0u32))
+        });
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("loop compiles");
+    let (_, node) = compiled.streamer_node("heater").expect("heater");
+    let cap = compiled.capsule_index("bang").expect("bang");
 
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let g = engine.add_group(net).expect("group");
-    engine.link_sport(g, node, "ctl", cap, "p").expect("link");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+        .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, node, "x", "x").expect("probe");
     (engine, rec, node, cap)
 }
 

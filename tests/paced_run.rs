@@ -4,17 +4,18 @@
 //! an injected clock — misses, catch-up slack, and the `URT115` safety
 //! abort all scripted to the nanosecond, no wall-clock flakiness.
 
+use std::sync::{Arc, Mutex};
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::error::CoreError;
+use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::pacer::{OverrunPolicy, PacedConfig, TimeSource};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
-use unified_rt::umlrt::controller::Controller;
 
 const STEP: f64 = 0.01;
 /// Pacing period at rate 1.0: [`STEP`] seconds of wall time, in ns.
@@ -64,27 +65,27 @@ impl TimeSource for FakeClock {
     }
 }
 
-/// One free oscillator group with an `x` probe and an empty controller.
+/// One free oscillator group with an `osc` probe and no capsules.
 fn osc_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
-    let mut net = StreamerNetwork::new("free");
-    let node = net
-        .add_streamer(
-            OdeStreamer::new(
-                "osc",
-                Osc { omega: 3.0 },
-                SolverKind::Rk4.create(),
-                &[1.0, 0.0],
-                1e-3,
-            ),
-            &[],
-            &[("y", FlowType::vector(2))],
-        )
-        .expect("osc streamer");
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: STEP, policy });
-    let g = engine.add_group(net).expect("group");
+    let mut b = ModelBuilder::new("free");
+    let osc = b.streamer("osc", "rk4");
+    b.streamer_out(osc, "y", FlowType::vector(2));
+    b.streamer_feedthrough(osc, false);
+    b.probe(osc, "y", "osc");
+    let registry = BehaviorRegistry::new().streamer("osc", || {
+        Box::new(OdeStreamer::new(
+            "osc",
+            Osc { omega: 3.0 },
+            SolverKind::Rk4.create(),
+            &[1.0, 0.0],
+            1e-3,
+        ))
+    });
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("model compiles");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
+        .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, node, "y", "osc").expect("probe");
     (engine, rec)
 }
 
@@ -251,4 +252,56 @@ fn threaded_batches_attribute_per_step_share_against_one_budget() {
     assert_eq!(missed.samples, 1);
     assert_eq!(missed.misses, 1, "the whole batch is one deadline test");
     assert_eq!(missed.worst_ns, 2_000_000.0);
+}
+
+/// One call a [`LoggingClock`] served.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ClockCall {
+    Now,
+    Sleep(u64),
+}
+
+/// A clock that stands still except while sleeping, logging every call.
+struct LoggingClock {
+    now: u64,
+    calls: Arc<Mutex<Vec<ClockCall>>>,
+}
+
+impl TimeSource for LoggingClock {
+    fn now_ns(&mut self) -> u64 {
+        self.calls.lock().expect("call log").push(ClockCall::Now);
+        self.now
+    }
+    fn sleep_ns(&mut self, ns: u64) {
+        self.calls.lock().expect("call log").push(ClockCall::Sleep(ns));
+        self.now += ns;
+    }
+}
+
+/// A resumed engine is paced from the time it stands at: after
+/// `run_until(0.5)`, `run_paced(0.51)` at rate 1 owes one 10 ms period
+/// before its release, not the half second already simulated. Pins the
+/// clock-call sequence of a slept cycle too: the origin, then begin (B),
+/// end (E), the pre-wait reading (P1), the sleep, and the re-measure (P2).
+#[test]
+fn resumed_engine_paces_from_its_current_time() {
+    let (mut engine, _rec) = osc_engine(ThreadPolicy::CurrentThread);
+    engine.run_until(0.5).expect("free run");
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let clock = Box::new(LoggingClock { now: 0, calls: Arc::clone(&calls) });
+    let config = PacedConfig::new().with_rate(1.0).with_budget_ns(1e12).with_clock(clock);
+    let report = engine.run_paced(0.51, config).expect("paced run");
+    assert_eq!(report.steps, 1);
+
+    let calls = calls.lock().expect("call log").clone();
+    let slept: u64 = calls
+        .iter()
+        .map(|c| match c {
+            ClockCall::Sleep(ns) => *ns,
+            ClockCall::Now => 0,
+        })
+        .sum();
+    assert!(slept <= PERIOD_NS, "slept {slept} ns before the first release");
+    use ClockCall::{Now, Sleep};
+    assert_eq!(calls, [Now, Now, Now, Now, Sleep(slept), Now], "origin, B, E, P1, sleep, P2");
 }

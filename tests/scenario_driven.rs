@@ -3,18 +3,17 @@
 
 use unified_rt::codegen::dot_gen::to_dot;
 use unified_rt::codegen::generate_model;
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::scenario::Scenario;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::statemachine::StateMachineBuilder;
 use unified_rt::umlrt::value::Value;
 
@@ -38,8 +37,24 @@ impl InputSystem for Servo {
 
 #[test]
 fn scripted_setpoint_profile_is_tracked() {
-    let servo =
-        OdeStreamer::new("servo", Servo { setpoint: 0.0 }, SolverKind::Rk4.create(), &[0.0], 1e-3)
+    let mut b = ModelBuilder::new("servo-loop");
+    let operator = b.capsule("operator");
+    let servo = b.streamer("servo", "rk4");
+    b.streamer_out(servo, "pos", FlowType::scalar());
+    b.streamer_feedthrough(servo, false);
+    b.streamer_sport(servo, "ctl", "ServoCtl");
+    b.capsule_sport(operator, "plant", "ServoCtl");
+    b.sport_link(operator, "plant", servo, "ctl");
+    b.probe(servo, "pos", "pos");
+    let registry = BehaviorRegistry::new()
+        .streamer("servo", || {
+            let servo = OdeStreamer::new(
+                "servo",
+                Servo { setpoint: 0.0 },
+                SolverKind::Rk4.create(),
+                &[0.0],
+                1e-3,
+            )
             .with_signal_handler(|msg, s: &mut Servo, _| {
                 if msg.signal() == "goto" {
                     if let Some(v) = msg.value().as_real() {
@@ -47,30 +62,30 @@ fn scripted_setpoint_profile_is_tracked() {
                     }
                 }
             });
-    let mut net = StreamerNetwork::new("plant");
-    let node = net.add_streamer(servo, &[], &[("pos", FlowType::scalar())]).unwrap();
-
-    // Operator capsule forwards env commands to the plant.
-    let machine = StateMachineBuilder::new("operator")
-        .state("on")
-        .initial("on", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .internal("on", ("env", "goto"), |_d, m, ctx| {
-            ctx.send("plant", "goto", m.value().clone());
+            Box::new(servo)
         })
-        .build()
-        .unwrap();
-    let mut controller = Controller::new("ev");
-    let op = controller.add_capsule(Box::new(SmCapsule::new(machine, ())));
+        // Operator capsule forwards env commands to the plant.
+        .capsule("operator", || {
+            let machine = StateMachineBuilder::new("operator")
+                .state("on")
+                .initial("on", |_d: &mut (), _ctx: &mut CapsuleContext| {})
+                .internal("on", ("env", "goto"), |_d, m, ctx| {
+                    ctx.send("plant", "goto", m.value().clone());
+                })
+                .build()
+                .unwrap();
+            Box::new(SmCapsule::new(machine, ()))
+        });
+    let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+    let op = compiled.capsule_index("operator").unwrap();
 
-    let mut engine = HybridEngine::new(
-        controller,
+    let mut engine = HybridEngine::from_compiled(
+        &compiled,
         EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-    );
-    let g = engine.add_group(net).unwrap();
-    engine.link_sport(g, node, "ctl", op, "plant").unwrap();
+    )
+    .unwrap();
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, node, "pos", "pos").unwrap();
 
     Scenario::new()
         .at(1.0, op, "env", "goto", Value::Real(1.0))
